@@ -1,0 +1,14 @@
+"""Make the benchmark's modules and the zetalab sources importable in its tests.
+
+    python3 -m pytest perfbench/tests
+"""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+BENCH = os.path.dirname(HERE)
+ROOT = os.path.dirname(BENCH)
+
+sys.path.insert(0, BENCH)
+sys.path.insert(0, os.path.join(ROOT, "src"))
