@@ -21,11 +21,6 @@ telescopes against the partial-fraction expansion of 1/sin^2, leaving
 
 where psi_1 is the trigamma function and sinc(y) = sin(pi y)/(pi y).
 Negative arguments follow from the reflection B(-y) = 2 sinc(y)^2 - B(y).
-The `terms` parameter of the public constructors is retained as the
-documented truncation order of the series representation; since the
-tail is completed exactly by the trigamma function, the evaluation is
-exact (to rounding) for every admissible `terms`, and the truncation
-tolerance that domination checks must allow for is pure float noise.
 """
 
 from __future__ import annotations
@@ -38,17 +33,11 @@ from scipy.special import polygamma, sici
 
 from .errors import DomainError, QuadratureError
 
-_MIN_TERMS = 50
 _GL_NODES = 16
 
 # Nodes and weights for the fixed-order Gauss-Legendre panel rule,
 # computed once on [-1, 1].
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_NODES)
-
-
-def _check_terms(terms: int) -> None:
-    if int(terms) != terms or terms < _MIN_TERMS:
-        raise DomainError(f"series truncation order must be an integer >= {_MIN_TERMS}, got {terms!r}")
 
 
 def _excess_over_one(y: np.ndarray) -> np.ndarray:
@@ -57,14 +46,13 @@ def _excess_over_one(y: np.ndarray) -> np.ndarray:
     return 2.0 * s * s * (y - y * y * polygamma(1, 1.0 + y))
 
 
-def beurling_B(x, terms: int = 500):
+def beurling_B(x):
     """Extremal majorant of sgn: entire, type 2*pi, B >= sgn, integral excess 1.
 
     Vectorized over `x`; scalar input returns a float.  Total on the
     real line (the removable singularities at integers are absorbed by
     the sinc factorization).
     """
-    _check_terms(terms)
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     y = np.atleast_1d(arr).astype(float, copy=True)
@@ -106,7 +94,6 @@ class BandlimitedFunction:
     b: float
     delta: float
     kind: str
-    series_terms: int = 500
 
     def __post_init__(self):
         if not (self.b >= self.a):
@@ -115,7 +102,6 @@ class BandlimitedFunction:
             raise DomainError(f"band limit must be positive, got {self.delta}")
         if self.kind not in ("majorant", "minorant"):
             raise DomainError(f"kind must be 'majorant' or 'minorant', got {self.kind!r}")
-        _check_terms(self.series_terms)
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)
@@ -123,11 +109,9 @@ class BandlimitedFunction:
         xs = np.atleast_1d(arr)
         d = self.delta
         if self.kind == "majorant":
-            vals = 0.5 * (beurling_B(d * (xs - self.a), self.series_terms)
-                          + beurling_B(d * (self.b - xs), self.series_terms))
+            vals = 0.5 * (beurling_B(d * (xs - self.a)) + beurling_B(d * (self.b - xs)))
         else:
-            vals = -0.5 * (beurling_B(d * (self.a - xs), self.series_terms)
-                           + beurling_B(d * (xs - self.b), self.series_terms))
+            vals = -0.5 * (beurling_B(d * (self.a - xs)) + beurling_B(d * (xs - self.b)))
         if scalar:
             return float(vals[0])
         return vals.reshape(arr.shape)
@@ -144,11 +128,10 @@ class BandlimitedFunction:
         return (self.b - self.a) + sign / self.delta
 
 
-def selberg_interval(a: float, b: float, delta: float, kind: str = "majorant",
-                     terms: int = 500) -> BandlimitedFunction:
+def selberg_interval(a: float, b: float, delta: float,
+                     kind: str = "majorant") -> BandlimitedFunction:
     """Construct the extremal band-limited majorant or minorant of 1_[a,b]."""
-    return BandlimitedFunction(a=float(a), b=float(b), delta=float(delta),
-                               kind=kind, series_terms=int(terms))
+    return BandlimitedFunction(a=float(a), b=float(b), delta=float(delta), kind=kind)
 
 
 def _panel_nodes(lo: float, hi: float, max_len: float):
@@ -312,7 +295,6 @@ def verify_bandlimit(F: BandlimitedFunction, xi_grid=None, window: float | None 
         "b": F.b,
         "delta": d,
         "window": W,
-        "series_terms": F.series_terms,
         "n_xi": int(xi_grid.size),
         "f_hat0": float(f_hat0),
         "f_hat0_raw_re": float(f_hat0_raw.real),

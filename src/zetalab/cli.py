@@ -1,11 +1,14 @@
 """Command-line interface: wires JSON/flag configs to the library and
 writes CSV/JSON artifacts.
 
-Subcommands: variance, chf, dist, torus, bs, scan, zeros.  Common
-flags: --config PATH (a JSON object of parameters), --out DIR,
---workers N, --seed S, --tol X.  Resolution order for every parameter:
-command-line flag, then config file, then environment variable
-ZETALAB_<NAME>, then the built-in default.
+Subcommands: variance, chf, dist, torus, bs, scan, zeros.  Each command
+declares its own parameters in `_COMMANDS` and accepts only those plus
+the common --config PATH (a JSON object of parameters), --out DIR,
+--workers N, --seed S and --tol X; argparse rejects any other flag with
+exit status 2.  Resolution order for every parameter: command-line
+flag, then config file, then environment variable ZETALAB_<NAME>, then
+the built-in default.  Config keys a command does not declare are
+ignored, so one file can serve several commands.
 
 Every command validates its full configuration before computing and
 buffers all output content in memory, so an invalid config or a failed
@@ -31,45 +34,41 @@ import numpy as np
 from . import bandlimit, lab, selberg, torus, variance, zeta
 from .errors import ZetalabError
 
-
-def _env_lookup(name: str):
-    return os.environ.get("ZETALAB_" + name.upper())
+_REQUIRED = object()  # default of a parameter the user must supply
 
 
-class _Params:
-    """Layered parameter resolution: flags over config over env over default."""
-
-    def __init__(self, args: argparse.Namespace, config: dict):
-        self.args = args
-        self.config = config
-        self.resolved = {}
-
-    def get(self, name: str, default=None, cast=None, required: bool = False):
-        val = getattr(self.args, name, None)
+def _resolve(table: dict, args: argparse.Namespace, config: dict) -> dict:
+    """Each parameter of `table` (name -> default) from its flag, else the
+    config, else ZETALAB_<NAME>, else its default, cast by `_PARAMS`."""
+    resolved = {}
+    for name, default in table.items():
+        val = getattr(args, name)
         if val is None:
-            val = self.config.get(name)
+            val = config.get(name)
         if val is None:
-            env = _env_lookup(name)
-            if env is not None:
-                val = env
+            val = os.environ.get("ZETALAB_" + name.upper())
         if val is None:
-            val = default
-        if val is None:
-            if required:
+            if default is _REQUIRED:
                 raise ZetalabError(f"missing required parameter {name!r}")
-            self.resolved[name] = None
-            return None
-        if cast is not None:
-            val = cast(val)
-        self.resolved[name] = val
-        return val
+            resolved[name] = default
+            continue
+        cast = _PARAMS[name][0]
+        try:
+            resolved[name] = cast(val)
+        except (TypeError, ValueError):
+            raise ZetalabError(f"parameter {name!r}: cannot read {val!r} as "
+                               f"{cast.__name__}") from None
+    return resolved
 
 
 def _load_config(path):
     if not path:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except ValueError as exc:
+            raise ZetalabError(f"config file {path}: {exc}") from None
     if not isinstance(cfg, dict):
         raise ZetalabError("config file must contain a JSON object")
     return cfg
@@ -86,11 +85,22 @@ def _json_default(obj):
 
 
 def _write_outputs(out_dir: str, files: dict) -> None:
-    """Write all buffered outputs at once (never partial)."""
+    """Write all buffered outputs atomically: each file goes to a temporary
+    sibling first, and only when every write succeeded are they renamed
+    into place.  A failed write leaves no payload and no temporary."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for name, content in files.items():
-        (out / name).write_text(content, encoding="utf-8")
+    moves = []
+    try:
+        for name, content in files.items():
+            tmp = out / f".{name}.{os.getpid()}.tmp"
+            moves.append((tmp, out / name))
+            tmp.write_text(content, encoding="utf-8")
+        for tmp, final in moves:
+            os.replace(tmp, final)
+    finally:
+        for tmp, _ in moves:
+            tmp.unlink(missing_ok=True)
 
 
 def _json_payload(command: str, params: dict, body: dict) -> str:
@@ -100,54 +110,46 @@ def _json_payload(command: str, params: dict, body: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, default=_json_default) + "\n"
 
 
-def _context_from(p: _Params, tol: float):
-    sigma = p.get("sigma", cast=float)
-    psi = p.get("psi", cast=float)
-    T = p.get("T", cast=float, required=True)
-    K_const = p.get("K_const", 1.0, cast=float)
-    return variance.make_context(T=T, sigma=sigma, psi=psi, K_const=K_const, tol=tol)
+def _context_from(p: dict, tol: float):
+    return variance.make_context(T=p["T"], sigma=p["sigma"], psi=p["psi"],
+                                 K_const=p["K_const"], tol=tol)
 
 
-def cmd_variance(p: _Params, out_dir: str, workers: int, seed: int, tol: float) -> int:
+def cmd_variance(p: dict, out: str, workers: int, seed: int, tol: float) -> int:
     ctx = _context_from(p, tol)
     body = ctx.as_dict()
-    files = {"variance.json": _json_payload("variance", p.resolved, body)}
-    _write_outputs(out_dir, files)
+    files = {"variance.json": _json_payload("variance", p, body)}
+    _write_outputs(out, files)
     print(f"variance: sigma={ctx.sigma!r} V={ctx.V!r} psi={ctx.psi!r}")
     return 0
 
 
-def cmd_chf(p: _Params, out_dir: str, workers: int, seed: int, tol: float) -> int:
-    sigma = p.get("sigma", cast=float, required=True)
-    x = p.get("x", cast=float, required=True)
-    method = p.get("method", "product", cast=str)
-    r_max = p.get("r_max", 1.0, cast=float)
+def cmd_chf(p: dict, out: str, workers: int, seed: int, tol: float) -> int:
+    method, r_max = p["method"], p["r_max"]
     if method not in ("product", "montecarlo", "moments"):
         raise ZetalabError(f"unknown chf method {method!r}")
-    n_axis = int(p.get("n_axis", 11 if method == "product" else 5, cast=int))
-    n_samples = int(p.get("n_samples", 50_000, cast=int))
-    n_moments = int(p.get("n_moments", 6, cast=int))
-    if n_axis < 1 or r_max <= 0:
+    if p["n_axis"] is None:
+        p["n_axis"] = 11 if method == "product" else 5
+    if p["n_axis"] < 1 or r_max <= 0:
         raise ZetalabError("chf grid requires n_axis >= 1 and r_max > 0")
 
-    model = torus.make_torus_model(sigma, x)
-    axis = np.linspace(-r_max, r_max, n_axis)
+    model = torus.make_torus_model(p["sigma"], p["x"])
+    axis = np.linspace(-r_max, r_max, p["n_axis"])
     rows = ["u,v,re,im,gaussian_re,abs_dev,std_error"]
     sup_dev = 0.0
     hard_ok = True
     for u in axis:
         for v in axis:
+            se = None
             if method == "product":
                 val = torus.chf_product(model, float(u), float(v))
-                se = None
             elif method == "montecarlo":
                 val, se = torus.chf_montecarlo(model, float(u), float(v),
-                                               n_samples=n_samples, seed=seed,
+                                               n_samples=p["n_samples"], seed=seed,
                                                workers=workers)
             else:
-                val, _envelope = torus.chf_by_moments(model, float(u), float(v),
-                                                      N=n_moments)
-                se = None
+                val = torus.chf_by_moments(model, float(u), float(v),
+                                           N=p["n_moments"])
             gauss = math.exp(-2.0 * math.pi ** 2 * (u * u + v * v))
             dev = abs(val - gauss)
             sup_dev = max(sup_dev, dev)
@@ -157,30 +159,26 @@ def cmd_chf(p: _Params, out_dir: str, workers: int, seed: int, tol: float) -> in
             rows.append(f"{float(u)!r},{float(v)!r},{val.real!r},{val.imag!r},"
                         f"{gauss!r},{dev!r},{se_s}")
     body = {
-        "sigma": sigma, "x": x, "method": method,
+        "sigma": p["sigma"], "x": p["x"], "method": method,
         "V": model.V, "n_primes": model.n_primes(),
         "sup_abs_dev_from_gaussian": sup_dev,
         "modulus_bound_ok": hard_ok,
     }
     files = {
         "chf.csv": "\n".join(rows) + "\n",
-        "chf.json": _json_payload("chf", p.resolved, body),
+        "chf.json": _json_payload("chf", p, body),
     }
-    _write_outputs(out_dir, files)
+    _write_outputs(out, files)
     print(f"chf[{method}]: sup |chf - gaussian| = {sup_dev!r} over [{-r_max},{r_max}]^2")
     return 0 if hard_ok else 1
 
 
-def cmd_dist(p: _Params, out_dir: str, workers: int, seed: int, tol: float) -> int:
+def cmd_dist(p: dict, out: str, workers: int, seed: int, tol: float) -> int:
     ctx = _context_from(p, tol)
-    t_lo = p.get("t_lo", 50.0, cast=float)
-    t_hi = p.get("t_hi", cast=float)
-    count = int(p.get("count", 20_000, cast=int))
-    mode = p.get("mode", "grid", cast=str)
-    sampling = {"mode": mode, "count": count}
-    if mode == "random":
+    sampling = {"mode": p["mode"], "count": p["count"]}
+    if p["mode"] == "random":
         sampling["seed"] = seed
-    sset = lab.sample_line(ctx, t_lo=t_lo, t_hi=t_hi, sampling=sampling,
+    sset = lab.sample_line(ctx, t_lo=p["t_lo"], t_hi=p["t_hi"], sampling=sampling,
                            tol=tol, workers=workers)
 
     disk_rs = [0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0]
@@ -192,10 +190,8 @@ def cmd_dist(p: _Params, out_dir: str, workers: int, seed: int, tol: float) -> i
         lab.rectangle_report(sset, 0.0, 50.0, -50.0, 50.0),
     ]
     ks = lab.disk_cdf_sup(sset)
-    chf_r = p.get("chf_r", cast=float)
-    chf_n = int(p.get("chf_n", 11, cast=int))
-    if chf_r is not None:
-        axis = np.linspace(-chf_r, chf_r, chf_n)
+    if p["chf_r"] is not None:
+        axis = np.linspace(-p["chf_r"], p["chf_r"], p["chf_n"])
         chf_dev = lab.chf_deviation_grid(sset, axis, axis)
     else:
         chf_dev = lab.chf_deviation_grid(sset)
@@ -224,27 +220,20 @@ def cmd_dist(p: _Params, out_dir: str, workers: int, seed: int, tol: float) -> i
         "hard_invariants_ok": bool(hard_ok),
     }
     files = {
-        "dist.json": _json_payload("dist", p.resolved, body),
+        "dist.json": _json_payload("dist", p, body),
         "dist_chf_dev.csv": "\n".join(chf_rows) + "\n",
+        "dist_samples.csv": lab.samples_csv_text(sset),
     }
-    buf = ["t,re,im,flag"]
-    for t, z, fl in zip(sset.t_values, sset.samples, sset.flags):
-        re_s = repr(float(z.real)) if fl == lab.FLAG_OK else ""
-        im_s = repr(float(z.imag)) if fl == lab.FLAG_OK else ""
-        buf.append(f"{repr(float(t))},{re_s},{im_s},{int(fl)}")
-    files["dist_samples.csv"] = "\n".join(buf) + "\n"
-    _write_outputs(out_dir, files)
+    _write_outputs(out, files)
     print(f"dist: n_ok={sset.n_ok} excluded={sset.excluded_fraction!r} "
           f"second_moment={second!r} disk_sup={ks['sup_dev']!r} "
           f"chf_sup={chf_dev['sup_abs_dev']!r}")
     return 0 if hard_ok else 1
 
 
-def cmd_torus(p: _Params, out_dir: str, workers: int, seed: int, tol: float) -> int:
-    sigma = p.get("sigma", cast=float, required=True)
-    x = p.get("x", cast=float, required=True)
-    n_samples = int(p.get("n_samples", 100_000, cast=int))
-    model = torus.make_torus_model(sigma, x)
+def cmd_torus(p: dict, out: str, workers: int, seed: int, tol: float) -> int:
+    n_samples = p["n_samples"]
+    model = torus.make_torus_model(p["sigma"], p["x"])
 
     moments = {}
     for m, k in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (2, 2)]:
@@ -266,7 +255,7 @@ def cmd_torus(p: _Params, out_dir: str, workers: int, seed: int, tol: float) -> 
                               for c in bound_checks)
 
     body = {
-        "sigma": sigma, "x": x, "V": model.V, "n_primes": model.n_primes(),
+        "sigma": p["sigma"], "x": p["x"], "V": model.V, "n_primes": model.n_primes(),
         "n_terms": int(model.term_value.size),
         "moments_exact": moments,
         "chf_product_at_half_quarter": {"re": prod_val.real, "im": prod_val.imag},
@@ -275,19 +264,16 @@ def cmd_torus(p: _Params, out_dir: str, workers: int, seed: int, tol: float) -> 
         "moment_bound_checks": bound_checks,
         "hard_invariants_ok": bool(hard_ok),
     }
-    files = {"torus.json": _json_payload("torus", p.resolved, body)}
-    _write_outputs(out_dir, files)
+    files = {"torus.json": _json_payload("torus", p, body)}
+    _write_outputs(out, files)
     print(f"torus: V={model.V!r} primes={model.n_primes()} "
           f"m11={moments['1,1']['re']!r} mc_vs_product="
           f"{abs(mc_val - prod_val)!r} (3se={3 * mc_se!r})")
     return 0 if hard_ok else 1
 
 
-def cmd_bs(p: _Params, out_dir: str, workers: int, seed: int, tol: float) -> int:
-    a = p.get("a", -1.0, cast=float)
-    b = p.get("b", 1.0, cast=float)
-    delta = p.get("delta", 4.0, cast=float)
-    terms = int(p.get("terms", 500, cast=int))
+def cmd_bs(p: dict, out: str, workers: int, seed: int, tol: float) -> int:
+    a, b, delta = p["a"], p["b"], p["delta"]
     kinds = ("majorant", "minorant")
 
     results = {}
@@ -295,7 +281,7 @@ def cmd_bs(p: _Params, out_dir: str, workers: int, seed: int, tol: float) -> int
     csv_hat = ["kind,xi,abs_f_hat"]
     hard_ok = True
     for kind in kinds:
-        F = bandlimit.selberg_interval(a, b, delta, kind, terms)
+        F = bandlimit.selberg_interval(a, b, delta, kind)
         excess = bandlimit.excess_integral(F)
         want = (1.0 if kind == "majorant" else -1.0) / delta
         verify = bandlimit.verify_bandlimit(F)
@@ -313,31 +299,26 @@ def cmd_bs(p: _Params, out_dir: str, workers: int, seed: int, tol: float) -> int
         for xv, fv in zip(xi, np.abs(vals)):
             csv_hat.append(f"{kind},{float(xv)!r},{float(fv)!r}")
 
-    body = {"a": a, "b": b, "delta": delta, "terms": terms,
+    body = {"a": a, "b": b, "delta": delta,
             "results": results, "hard_invariants_ok": bool(hard_ok)}
     files = {
-        "bs.json": _json_payload("bs", p.resolved, body),
+        "bs.json": _json_payload("bs", p, body),
         "bs_f.csv": "\n".join(csv_f) + "\n",
         "bs_fhat.csv": "\n".join(csv_hat) + "\n",
     }
-    _write_outputs(out_dir, files)
+    _write_outputs(out, files)
     print(f"bs: delta={delta!r} excess(majorant)={float(results['majorant']['excess'])!r} "
           f"(expected {1.0 / delta!r})")
     return 0 if hard_ok else 1
 
 
-def cmd_scan(p: _Params, out_dir: str, workers: int, seed: int, tol: float) -> int:
-    sigma = p.get("sigma", cast=float, required=True)
-    x = p.get("x", cast=float, required=True)
-    t_lo = p.get("t_lo", 50.0, cast=float)
-    t_hi = p.get("t_hi", 200.0, cast=float)
-    n_t = int(p.get("n_t", 256, cast=int))
-    zeros_file = p.get("zeros_file", cast=str)
+def cmd_scan(p: dict, out: str, workers: int, seed: int, tol: float) -> int:
+    sigma, x, t_lo, t_hi, n_t = p["sigma"], p["x"], p["t_lo"], p["t_hi"], p["n_t"]
     if t_hi <= t_lo or n_t < 2:
         raise ZetalabError("scan requires t_hi > t_lo and n_t >= 2")
 
-    if zeros_file:
-        zeros = zeta.read_zero_table(zeros_file)
+    if p["zeros_file"]:
+        zeros = zeta.read_zero_table(p["zeros_file"])
     else:
         if t_hi > 1000.0:
             raise ZetalabError("computing zeros above t=1000 here is too slow; "
@@ -356,18 +337,17 @@ def cmd_scan(p: _Params, out_dir: str, workers: int, seed: int, tol: float) -> i
             "zero_count": int(zeros.gamma.size),
             "summary": result.summary,
             "hard_invariants_ok": bool(hard_ok)}
-    csv_text = selberg.scan_csv_text(result)
     files = {
-        "scan.json": _json_payload("scan", p.resolved, body),
-        "scan.csv": csv_text,
+        "scan.json": _json_payload("scan", p, body),
+        "scan.csv": selberg.scan_csv_text(result),
     }
-    _write_outputs(out_dir, files)
+    _write_outputs(out, files)
     print(f"scan: sigma={sigma!r} x={x!r} max_res={max_res!r}")
     return 0 if hard_ok else 1
 
 
-def cmd_zeros(p: _Params, out_dir: str, workers: int, seed: int, tol: float) -> int:
-    t_max = p.get("t_max", 100.0, cast=float)
+def cmd_zeros(p: dict, out: str, workers: int, seed: int, tol: float) -> int:
+    t_max = p["t_max"]
     if t_max > 1000.0:
         raise ZetalabError("zero search is supported up to t_max = 1000")
     zeros = zeta.find_zero_ordinates(t_max, tol=tol if tol <= 1e-6 else 1e-9)
@@ -375,25 +355,19 @@ def cmd_zeros(p: _Params, out_dir: str, workers: int, seed: int, tol: float) -> 
             "coverage": float(zeros.coverage), "hard_invariants_ok": True}
     files = {
         "zeros.txt": zeta.zero_table_text(zeros),
-        "zeros.json": _json_payload("zeros", p.resolved, body),
+        "zeros.json": _json_payload("zeros", p, body),
     }
-    _write_outputs(out_dir, files)
+    _write_outputs(out, files)
     print(f"zeros: found {zeros.gamma.size} up to t={t_max!r}")
     return 0
 
 
-_COMMANDS = {
-    "variance": cmd_variance,
-    "chf": cmd_chf,
-    "dist": cmd_dist,
-    "torus": cmd_torus,
-    "bs": cmd_bs,
-    "scan": cmd_scan,
-    "zeros": cmd_zeros,
-}
-
-_FLAG_SPECS = {
-    # name: (type, help)
+_PARAMS = {
+    # name: (cast, help)
+    "out": (str, "output directory"),
+    "workers": (int, "worker processes"),
+    "seed": (int, "random seed"),
+    "tol": (float, "absolute tolerance"),
     "sigma": (float, "real part of the sampling line"),
     "psi": (float, "regime parameter (2 sigma - 1) log T; alternative to sigma"),
     "T": (float, "height parameter"),
@@ -405,18 +379,36 @@ _FLAG_SPECS = {
     "mode": (str, "sampling mode: grid or random"),
     "method": (str, "chf method: product, montecarlo, or moments"),
     "r_max": (float, "half-width of the (u, v) grid"),
-    "n_axis": (int, "points per (u, v) axis"),
+    "n_axis": (int, "points per (u, v) axis (default 11 for product, else 5)"),
     "n_samples": (int, "Monte Carlo sample count"),
     "n_moments": (int, "moment order for the chf series"),
     "a": (float, "interval left end"),
     "b": (float, "interval right end"),
     "delta": (float, "band limit"),
-    "terms": (int, "series truncation order"),
     "n_t": (int, "number of scan grid points"),
     "zeros_file": (str, "path to a zero-ordinate table"),
     "t_max": (float, "zero search height"),
     "chf_r": (float, "half-width of the chf deviation grid (default min(1, Omega))"),
     "chf_n": (int, "points per chf deviation axis"),
+}
+
+# Every command takes these; they stay out of the payload's params.
+_COMMON = {"out": ".", "workers": 1, "seed": 0, "tol": 1e-9}
+_CONTEXT = {"sigma": None, "psi": None, "T": _REQUIRED, "K_const": 1.0}
+
+_COMMANDS = {
+    # name: (handler, {parameter: default})
+    "variance": (cmd_variance, _CONTEXT),
+    "chf": (cmd_chf, {"sigma": _REQUIRED, "x": _REQUIRED, "method": "product",
+                      "r_max": 1.0, "n_axis": None, "n_samples": 50_000,
+                      "n_moments": 6}),
+    "dist": (cmd_dist, {**_CONTEXT, "t_lo": 50.0, "t_hi": None, "count": 20_000,
+                        "mode": "grid", "chf_r": None, "chf_n": 11}),
+    "torus": (cmd_torus, {"sigma": _REQUIRED, "x": _REQUIRED, "n_samples": 100_000}),
+    "bs": (cmd_bs, {"a": -1.0, "b": 1.0, "delta": 4.0}),
+    "scan": (cmd_scan, {"sigma": _REQUIRED, "x": _REQUIRED, "t_lo": 50.0,
+                        "t_hi": 200.0, "n_t": 256, "zeros_file": None}),
+    "zeros": (cmd_zeros, {"t_max": 100.0}),
 }
 
 
@@ -426,32 +418,21 @@ def _build_parser() -> argparse.ArgumentParser:
         description="numerical laboratory for the value distribution of "
                     "zeta'/zeta near the critical line")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", default=None, help="JSON config file")
-        sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--workers", type=int, default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--tol", type=float, default=None)
-        for flag, (typ, help_) in _FLAG_SPECS.items():
-            sp.add_argument(f"--{flag}", type=typ, default=None, help=help_)
+    for name, (_, table) in _COMMANDS.items():
+        sp = sub.add_parser(name, allow_abbrev=False)
+        sp.add_argument("--config", help="JSON config file")
+        for flag in (*_COMMON, *table):
+            sp.add_argument(f"--{flag}", help=_PARAMS[flag][1])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    handler, table = _COMMANDS[args.command]
     try:
-        config = _load_config(args.config or _env_lookup("config"))
-        p = _Params(args, config)
-        out_dir = args.out or config.get("out") or _env_lookup("out") or "."
-        workers = int(args.workers or config.get("workers")
-                      or _env_lookup("workers") or 1)
-        seed = int(args.seed if args.seed is not None
-                   else config.get("seed", _env_lookup("seed") or 0))
-        tol = float(args.tol if args.tol is not None
-                    else config.get("tol", _env_lookup("tol") or 1e-9))
-        return _COMMANDS[args.command](p, out_dir, workers, seed, tol)
+        config = _load_config(args.config or os.environ.get("ZETALAB_CONFIG"))
+        common = _resolve(_COMMON, args, config)
+        return handler(_resolve(table, args, config), **common)
     except ZetalabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

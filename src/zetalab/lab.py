@@ -461,8 +461,8 @@ def rect_prob_from_chf(chf, F: BandlimitedFunction, G: BandlimitedFunction,
     """
     if F.kind != "majorant" or G.kind != "majorant":
         raise DomainError("pass the majorants; minorants are derived internally")
-    F_minus = selberg_interval(F.a, F.b, F.delta, "minorant", F.series_terms)
-    G_minus = selberg_interval(G.a, G.b, G.delta, "minorant", G.series_terms)
+    F_minus = selberg_interval(F.a, F.b, F.delta, "minorant")
+    G_minus = selberg_interval(G.a, G.b, G.delta, "minorant")
     # Fhat(u) itself oscillates at the spatial scale of its interval
     # (plus the tails of F), so fold that into the panel sizing.
     rate_u = osc_rate_u + max(abs(F.a), abs(F.b)) + 5.0 / F.delta
@@ -541,11 +541,17 @@ def time_vs_torus_moments(poly_samples, model, m: int, k: int) -> dict:
     }
 
 
+def samples_csv_text(sset: LineSampleSet) -> str:
+    """CSV text: t, re, im, flag (floats via repr; re, im empty unless flag is ok)."""
+    rows = ["t,re,im,flag"]
+    for t, z, fl in zip(sset.t_values, sset.samples, sset.flags):
+        re_s = repr(float(z.real)) if fl == FLAG_OK else ""
+        im_s = repr(float(z.imag)) if fl == FLAG_OK else ""
+        rows.append(f"{float(t)!r},{re_s},{im_s},{int(fl)}")
+    return "\n".join(rows) + "\n"
+
+
 def write_samples_csv(sset: LineSampleSet, path) -> None:
-    """Dump a sample set as CSV rows t,re,im,flag (floats via repr)."""
+    """Write a sample set; see samples_csv_text for the format."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,re,im,flag\n")
-        for t, z, fl in zip(sset.t_values, sset.samples, sset.flags):
-            re_s = repr(float(z.real)) if fl == FLAG_OK else ""
-            im_s = repr(float(z.imag)) if fl == FLAG_OK else ""
-            fh.write(f"{repr(float(t))},{re_s},{im_s},{int(fl)}\n")
+        fh.write(samples_csv_text(sset))

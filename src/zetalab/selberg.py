@@ -24,15 +24,9 @@ from .zeta import ZeroList, log_deriv_band
 
 @dataclass(frozen=True)
 class SelbergWeightSpec:
-    """Weight parameters: cut point x >= 10 and the branch-3 convention.
-
-    normalized_branch3=True (default) divides the third branch by 2 log^2 x,
-    which keeps the weight within [0, 1] and continuous at x^2; the
-    unnormalized variant is retained for fidelity experiments.
-    """
+    """Weight parameters: cut point x >= 10."""
 
     x: float
-    normalized_branch3: bool = True
 
     def __post_init__(self):
         if self.x < 10:
@@ -45,7 +39,7 @@ def weight_w(n, spec: SelbergWeightSpec):
     Branches (L = log x, l = log n):
       n <= x          : 1
       x < n <= x^2    : ((3L - l)^2 - 2(2L - l)^2) / (2 L^2)
-      x^2 < n <= x^3  : (3L - l)^2 / (2 L^2)   [normalized branch]
+      x^2 < n <= x^3  : (3L - l)^2 / (2 L^2)
       n > x^3         : 0
     """
     x = spec.x
@@ -66,11 +60,11 @@ def weight_w(n, spec: SelbergWeightSpec):
     top = (arr > x * x) & (arr <= x * x * x)
     if np.any(top):
         a = 3.0 * L - ell[top]
-        out[top] = a * a / (2.0 * L * L) if spec.normalized_branch3 else a * a
+        out[top] = a * a / (2.0 * L * L)
     return float(out[0]) if scalar else out
 
 
-def weight_branch_gaps(x: float, normalized_branch3: bool = True) -> dict:
+def weight_branch_gaps(x: float) -> dict:
     """|left - right| of adjacent branch formulas at the joins x, x^2, x^3.
 
     Evaluates the closed-form branches at the exact breakpoints in floating
@@ -83,8 +77,7 @@ def weight_branch_gaps(x: float, normalized_branch3: bool = True) -> dict:
         return ((3 * L - ell) ** 2 - 2 * (2 * L - ell) ** 2) / (2 * L * L)
 
     def branch3(ell):
-        v = (3 * L - ell) ** 2
-        return v / (2 * L * L) if normalized_branch3 else v
+        return (3 * L - ell) ** 2 / (2 * L * L)
 
     return {
         "at_x": abs(1.0 - branch2(L)),
@@ -188,16 +181,14 @@ def _is_equispaced(t: np.ndarray) -> bool:
     return bool(np.all(np.abs(d - d[0]) <= 1e-9 * abs(d[0])))
 
 
-def _weighted_poly_grid(
-    sigma: float, x: float, t: np.ndarray, normalized_branch3: bool
-) -> np.ndarray:
+def _weighted_poly_grid(sigma: float, x: float, t: np.ndarray) -> np.ndarray:
     """Weighted polynomial on a t grid, streaming prime powers to x^3.
 
     Equispaced grids go through the type-1 NUFFT (one pass over the sieve
     segments, one FFT); other grids fall back to direct chunked summation.
     Both paths consume identical per-segment coefficients.
     """
-    spec = SelbergWeightSpec(x=x, normalized_branch3=normalized_branch3)
+    spec = SelbergWeightSpec(x=x)
     x3 = x**3
     equi = _is_equispaced(t)
     if equi:
@@ -246,7 +237,6 @@ def explicit_formula_scan(
     t_grid: np.ndarray,
     zeros: ZeroList,
     tol: float = 1e-9,
-    normalized_branch3: bool = True,
 ) -> ScanResult:
     """Residuals lhs - poly over a t grid, with threshold gating.
 
@@ -288,7 +278,7 @@ def explicit_formula_scan(
     flags[(flags == 0) & (engine_flags != 0)] = 2
     lhs = -lhs_raw
 
-    poly = _weighted_poly_grid(sigma, x, t, normalized_branch3)
+    poly = _weighted_poly_grid(sigma, x, t)
     ok = flags == 0
     residual = np.where(ok, lhs - poly, np.nan + 1j * np.nan)
     bound = x ** ((0.5 - sigma) / 2.0) * (np.abs(poly) + np.log(t))

@@ -76,17 +76,6 @@ def test_signum_excess_integral_is_one():
     assert abs(total - 1.0) <= 1e-6
 
 
-def test_terms_parameter_is_exactly_completed():
-    # The tail is completed in closed form, so the documented truncation
-    # order cannot change the value.
-    for y in (0.37, 5.5, -2.2):
-        assert beurling_B(y, terms=50) == beurling_B(y, terms=5000)
-    with pytest.raises(DomainError):
-        beurling_B(0.5, terms=49)
-    with pytest.raises(DomainError):
-        beurling_B(0.5, terms=100.5)
-
-
 def test_interval_constructor_gates():
     with pytest.raises(DomainError):
         selberg_interval(1.0, 0.0, 4.0)

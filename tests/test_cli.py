@@ -162,6 +162,62 @@ def test_chf_command_product_and_montecarlo(tmp_path):
     assert not (tmp_path / "nope").exists()
 
 
+def test_chf_command_moments(tmp_path):
+    rc = main(["chf", "--sigma", "0.9", "--x", "30", "--method", "moments",
+               "--n_axis", "3", "--r_max", "0.05", "--out", str(tmp_path)])
+    assert rc == 0
+    doc = _read_json(tmp_path / "chf.json")
+    assert doc["method"] == "moments"
+    rows = (tmp_path / "chf.csv").read_text().strip().split("\n")[1:]
+    assert len(rows) == 9
+
+
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "run"
+    argv = ["variance", "--psi", "15", "--out", str(out)]
+
+    def assert_one_line_error(rc):
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    assert_one_line_error(main(["variance", "--T", "abc", "--psi", "15",
+                                "--out", str(out)]))
+    monkeypatch.setenv("ZETALAB_T", "abc")
+    assert_one_line_error(main(argv))
+    monkeypatch.delenv("ZETALAB_T")
+    cfg = tmp_path / "cfg.json"
+    for text in ('{"T": "abc", "psi": 15}', '{"workers": "x", "T": 1e5}', "{bad"):
+        cfg.write_text(text, encoding="utf-8")
+        assert_one_line_error(main(argv + ["--config", str(cfg)]))
+
+    # Flags another command declares are unknown here: argparse exits 2.
+    for wrong in (["bs", "--T", "5"], ["variance", "--T", "1e5", "--psi", "15",
+                                       "--x", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(wrong + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+
+def test_failed_write_leaves_no_files(tmp_path, monkeypatch):
+    real_write = Path.write_text
+    calls = []
+
+    def second_write_fails(self, *args, **kwargs):
+        calls.append(self)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        return real_write(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", second_write_fails)
+    out = tmp_path / "run"
+    assert main(["zeros", "--t_max", "30", "--out", str(out)]) == 2
+    assert len(calls) == 2
+    assert list(out.iterdir()) == []
+
+
 def test_torus_command(tmp_path):
     rc = main(["torus", "--sigma", "0.75", "--x", "50", "--n_samples", "5000",
                "--out", str(tmp_path), "--seed", "3"])

@@ -97,13 +97,6 @@ def test_weight_branch_gaps_normalized_are_rounding_level():
         assert gaps["at_x3"] <= 1e-12
 
 
-def test_weight_unnormalized_branch_is_discontinuous_at_x2():
-    gaps = weight_branch_gaps(100.0, normalized_branch3=False)
-    assert gaps["at_x"] <= 1e-12
-    assert gaps["at_x2"] > 1.0
-    assert gaps["at_x3"] <= 1e-12
-
-
 def test_weight_domain_errors():
     with pytest.raises(DomainError):
         SelbergWeightSpec(x=9.0)
@@ -226,7 +219,7 @@ def test_grid_poly_nufft_route_matches_scalar_route():
     sigma, x = 1.2, 50.0
     spec = SelbergWeightSpec(x=x)
     t = np.linspace(10.0, 20.0, 64)
-    grid = _weighted_poly_grid(sigma, x, t, normalized_branch3=True)
+    grid = _weighted_poly_grid(sigma, x, t)
     scalar = np.array(
         [dirichlet_poly_weighted(complex(sigma, tt), spec) for tt in t]
     )
@@ -238,7 +231,7 @@ def test_grid_poly_direct_route_matches_scalar_route():
     sigma, x = 1.2, 50.0
     spec = SelbergWeightSpec(x=x)
     t = np.array([3.0, 4.5, 7.1, 12.9, 13.0, 29.7])
-    grid = _weighted_poly_grid(sigma, x, t, normalized_branch3=True)
+    grid = _weighted_poly_grid(sigma, x, t)
     scalar = np.array(
         [dirichlet_poly_weighted(complex(sigma, tt), spec) for tt in t]
     )
