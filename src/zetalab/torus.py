@@ -3,9 +3,12 @@
 S(theta) = V^{-1/2} sum_{p^n <= x} (log p / p^{n sigma}) e(n theta_p),
 e(y) = exp(2 pi i y). The module provides exact sampling, exact low-order
 joint moments by unique-factorization coefficient matching, the exact
-product-form characteristic function (one 1D periodic integral per prime),
-a seeded Monte Carlo characteristic function, and the truncated
-moment-expansion chf with its remainder envelope.
+product-form characteristic function, a seeded Monte Carlo characteristic
+function, and the truncated moment-expansion chf with its remainder
+envelope. In the product form a prime with a single term (every
+p > sqrt(x)) contributes the Bessel factor J0(2 pi c_p r), r = |(u, v)|;
+midpoint quadrature runs only over the primes p <= sqrt(x), which have
+several terms.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
+import scipy.special as sp
 
 from .arith import TABLE_CAP_DEFAULT, prime_powers_up_to
 from .errors import CapacityError, DomainError, QuadratureError
@@ -159,21 +163,31 @@ def torus_moment_exact(
 def chf_product(
     model: TorusModel, u: float, v: float, quad_points: int = 64
 ) -> complex:
-    """Exact chf E[e(u Re S + v Im S)] as a product of 1D integrals.
+    """Exact chf E[e(u Re S + v Im S)] as a product of per-prime factors.
 
-    Independence of the theta_p factorizes the expectation over primes; each
-    factor is a periodic integral evaluated by the midpoint rule (spectrally
-    accurate here), with global point-doubling until successive values agree
-    below 1e-12.
+    Independence of the theta_p factorizes the expectation over primes. A
+    prime with a single term c e(theta) (every p > sqrt(x)) contributes the
+    closed form J0(2 pi c r), r = sqrt(u^2 + v^2), by the Jacobi-Anger
+    expansion. Each prime with several terms contributes a periodic integral
+    evaluated by the midpoint rule (spectrally accurate here), with global
+    point-doubling until successive values of the whole product agree below
+    1e-12.
     """
     if quad_points < 64:
         raise DomainError(f"quad_points must be >= 64, got {quad_points}")
-    n_primes = model.n_primes()
-    # Per-prime term lists as a padded matrix: coeff_mat[g, j] is the j-th
-    # power coefficient of prime g (zero-padded).
+    if not (math.isfinite(u) and math.isfinite(v)):
+        raise DomainError(f"chf_product requires finite (u, v), got ({u:g}, {v:g})")
+    counts = np.bincount(model.term_prime_index, minlength=model.n_primes())
+    single = counts[model.term_prime_index] == 1
+    bessel = float(np.prod(
+        sp.j0(2.0 * math.pi * math.hypot(u, v) * model.term_coeff[single])
+    ))
+    # Terms of the primes with several terms as a padded matrix:
+    # coeff_mat[g, j] is the (j+1)-th power coefficient of prime g.
     max_exp = int(np.max(model.term_exponent)) if len(model) else 1
-    coeff_mat = np.zeros((n_primes, max_exp))
+    coeff_mat = np.zeros((model.n_primes(), max_exp))
     coeff_mat[model.term_prime_index, model.term_exponent - 1] = model.term_coeff
+    coeff_mat = coeff_mat[counts > 1]
 
     def product_at(K: int) -> complex:
         theta = (np.arange(K) + 0.5) / K
@@ -183,11 +197,7 @@ def chf_product(
         )
         z = coeff_mat @ phases
         integrand = np.exp(2j * math.pi * (u * z.real + v * z.imag))
-        factors = integrand.mean(axis=1)
-        out = complex(1.0, 0.0)
-        for f in factors:
-            out *= complex(f)
-        return out
+        return bessel * complex(np.prod(integrand.mean(axis=1)))
 
     K = int(quad_points)
     prev = product_at(K)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import zetalab
-from zetalab import variance, zeta
+from zetalab import torus, variance, zeta
 from zetalab.cli import main
 
 
@@ -162,7 +162,7 @@ def test_chf_command_product_and_montecarlo(tmp_path):
     assert not (tmp_path / "nope").exists()
 
 
-def test_chf_command_moments(tmp_path):
+def test_chf_command_moments(tmp_path, capsys):
     rc = main(["chf", "--sigma", "0.9", "--x", "30", "--method", "moments",
                "--n_axis", "3", "--r_max", "0.05", "--out", str(tmp_path)])
     assert rc == 0
@@ -170,6 +170,21 @@ def test_chf_command_moments(tmp_path):
     assert doc["method"] == "moments"
     rows = (tmp_path / "chf.csv").read_text().strip().split("\n")[1:]
     assert len(rows) == 9
+    # The envelope is largest at the grid's corners, |u| + |v| = 0.1.
+    env = torus.chf_moments_envelope(0.05, 0.05, 6)
+    assert doc["max_moments_envelope"] == env
+    assert f"envelope <= {env!r}" in capsys.readouterr().out
+
+
+def test_chf_command_rejects_non_finite_r_max(tmp_path, capsys):
+    out = tmp_path / "run"
+    for bad in ("nan", "inf"):
+        rc = main(["chf", "--sigma", "0.75", "--x", "50", "--r_max", bad,
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: chf grid requires n_axis >= 1 and r_max > 0\n"
+        assert not out.exists()
 
 
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
@@ -331,6 +346,15 @@ def test_console_entry_point(tmp_path):
     assert helped.returncode == 0
     for name in _SUBCOMMANDS:
         assert name in helped.stdout
+
+
+def test_torus_demo_runs(tmp_path):
+    demo = Path(__file__).resolve().parents[1] / "demos" / "torus_gaussian_limit.py"
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
+                          text=True, cwd=tmp_path, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.split("\n")
+    assert sum(line.lstrip().startswith("x = ") for line in lines) == 3
 
 
 @pytest.mark.skipif(shutil.which("zetalab") is None,

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import j0
 
 from zetalab.errors import CapacityError, DomainError, QuadratureError
 from zetalab.torus import (
@@ -109,6 +110,46 @@ def test_chf_product_basics(model_10):
     assert abs(chf_product(model_10, 0.3, -0.2, quad_points=128) - a) <= 1e-11
 
 
+def _chf_midpoint_every_prime(model, u, v, K):
+    """The chf as a product over every prime of its K-point midpoint
+    integral, single-term primes included: no closed form involved."""
+    max_exp = int(np.max(model.term_exponent))
+    coeff_mat = np.zeros((model.n_primes(), max_exp))
+    coeff_mat[model.term_prime_index, model.term_exponent - 1] = model.term_coeff
+    theta = (np.arange(K) + 0.5) / K
+    z = coeff_mat @ np.exp(2j * math.pi * np.outer(np.arange(1, max_exp + 1), theta))
+    out = complex(1.0, 0.0)
+    for f in np.exp(2j * math.pi * (u * z.real + v * z.imag)).mean(axis=1):
+        out *= complex(f)
+    return out
+
+
+def test_chf_product_matches_midpoint_oracle():
+    model = make_torus_model(0.52, 1e4)
+    axis = np.linspace(-1.0, 1.0, 5)
+    for u in axis:
+        for v in axis:
+            u, v = float(u), float(v)
+            oracle = _chf_midpoint_every_prime(model, u, v, 128)
+            assert abs(oracle - _chf_midpoint_every_prime(model, u, v, 256)) <= 1e-14
+            assert abs(chf_product(model, u, v) - oracle) <= 1e-12, (u, v)
+
+
+def test_chf_product_single_term_closed_form():
+    # At x = 3 the primes 2 and 3 each have one term, so the chf is the
+    # product of two Bessel factors and depends on (u, v) only through r.
+    model = make_torus_model(0.75, 3.0)
+    assert np.array_equal(model.primes, [2, 3])
+    c2, c3 = (float(c) for c in model.term_coeff)
+    for u, v in [(0.3, -0.2), (0.7, 0.1), (-1.1, 0.9)]:
+        r = math.hypot(u, v)
+        got = chf_product(model, u, v)
+        assert abs(got - j0(2 * math.pi * r * c2) * j0(2 * math.pi * r * c3)) <= 1e-15
+        assert got.imag == 0.0
+        assert abs(chf_product(model, v, u) - got) <= 1e-15
+        assert abs(chf_product(model, r, 0.0) - got) <= 1e-15
+
+
 def test_chf_product_matches_moment_expansion(model_10):
     u, v = 0.007, 0.003
     prod = chf_product(model_10, u, v)
@@ -175,6 +216,9 @@ def test_domain_and_capacity_errors(model_10):
         torus_moment_exact(model_10, 3, 3, max_keys=10)
     with pytest.raises(DomainError):
         chf_product(model_10, 0.1, 0.1, quad_points=32)
+    for bad in ((math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.1)):
+        with pytest.raises(DomainError):
+            chf_product(model_10, *bad)
     with pytest.raises(DomainError):
         chf_montecarlo(model_10, 0.1, 0.1, 500, seed=0)
     with pytest.raises(DomainError):
