@@ -23,7 +23,7 @@ import numpy as np
 
 from . import zeta
 from .arith import prime_powers_up_to
-from .bandlimit import BandlimitedFunction, fourier_transform, selberg_interval
+from .bandlimit import BandlimitedFunction, selberg_interval
 from .errors import DomainError, QuadratureError
 from .variance import VarianceContext
 from ._nufft import exp_sum_direct
@@ -452,8 +452,10 @@ def rect_prob_from_chf(chf, F: BandlimitedFunction, G: BandlimitedFunction,
     double integral of Fhat(u) Ghat(v) chf(u, v) over the band equals
     the expectation of F(X) G(Y), so pointwise domination of the
     indicators makes [lower, upper] a true sandwich of the rectangle
-    probability up to quadrature error, which is controlled by a
-    node-doubling check (failure raises QuadratureError).
+    probability up to quadrature error.  Fhat and Ghat are exact
+    (`BandlimitedFunction.hat`), so the only quadrature error left is
+    the one over (u, v), which a node-doubling check bounds by quad_tol
+    (failure raises QuadratureError).
 
     osc_rate_u/v: scale of the fastest oscillation of chf in each
     variable (max |Re z|, |Im z| for an empirical chf); the quadrature
@@ -461,6 +463,11 @@ def rect_prob_from_chf(chf, F: BandlimitedFunction, G: BandlimitedFunction,
     """
     if F.kind != "majorant" or G.kind != "majorant":
         raise DomainError("pass the majorants; minorants are derived internally")
+    if not (math.isfinite(quad_tol) and quad_tol > 0.0):
+        raise DomainError(f"quad_tol must be finite and positive, got {quad_tol!r}")
+    for name, rate in (("osc_rate_u", osc_rate_u), ("osc_rate_v", osc_rate_v)):
+        if not (math.isfinite(rate) and rate >= 0.0):
+            raise DomainError(f"{name} must be finite and non-negative, got {rate!r}")
     F_minus = selberg_interval(F.a, F.b, F.delta, "minorant")
     G_minus = selberg_interval(G.a, G.b, G.delta, "minorant")
     # Fhat(u) itself oscillates at the spatial scale of its interval
@@ -471,10 +478,10 @@ def rect_prob_from_chf(chf, F: BandlimitedFunction, G: BandlimitedFunction,
     def sandwich(level: int):
         u, wu = _axis_nodes(F.delta, rate_u, level)
         v, wv = _axis_nodes(G.delta, rate_v, level)
-        fp, _ = fourier_transform(F, u)
-        fm, _ = fourier_transform(F_minus, u)
-        gp, _ = fourier_transform(G, v)
-        gm, _ = fourier_transform(G_minus, v)
+        fp = F.hat(u)
+        fm = F_minus.hat(u)
+        gp = G.hat(v)
+        gm = G_minus.hat(v)
         M = np.asarray(chf(u, v), dtype=complex)
         if M.shape != (u.size, v.size):
             raise DomainError("chf callable must return a (len(u), len(v)) matrix")

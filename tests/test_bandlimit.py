@@ -1,7 +1,7 @@
 """Tests for the extremal band-limited majorants/minorants: the signum
 approximant against its literal partial-fraction series, domination and
-excess-integral certificates, and the windowed Fourier transform against a
-quadrature oracle."""
+excess-integral certificates, the windowed Fourier transform against a
+quadrature oracle, and the closed-form transform against both."""
 
 import math
 
@@ -12,6 +12,7 @@ from scipy.special import sici
 
 from zetalab.bandlimit import (
     BandlimitedFunction,
+    _analytic_tail,
     beurling_B,
     domination_report,
     excess_integral,
@@ -83,6 +84,12 @@ def test_interval_constructor_gates():
         selberg_interval(-1.0, 1.0, 0.0)
     with pytest.raises(DomainError):
         selberg_interval(-1.0, 1.0, 4.0, kind="sandwich")
+    for args, name in (((-1.0, 1.0, math.inf), "delta"),
+                       ((-1.0, math.inf, 4.0), "b"),
+                       ((-math.inf, 1.0, 4.0), "a"),
+                       ((math.nan, 1.0, 4.0), "a")):
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            selberg_interval(*args)
     F = selberg_interval(-1.0, 1.0, 4.0)
     assert isinstance(F, BandlimitedFunction)
     assert F.exact_integral() == 2.25
@@ -153,16 +160,69 @@ def test_fourier_transform_matches_quad_oracle():
         fourier_transform(F, [1.0], window=0.0)
 
 
-def test_verify_bandlimit_report():
+HAT_CASES = [(-1.0, 1.0, 4.0), (-1.0, 1.0, 1.0), (0.0, 3.0, 2.0),
+             (0.5, 0.5, 4.0), (0.5, 1.5, 16.0), (-2.0, 1.0, 1.0)]
+
+
+def test_hat_exact_identities():
+    for a, b, delta in HAT_CASES:
+        for kind in ("majorant", "minorant"):
+            F = selberg_interval(a, b, delta, kind)
+            assert F.hat(0.0) == F.exact_integral()
+            outside = delta * np.array([1.0, 1.0 + 1e-12, 1.3, 2.5, 40.0])
+            assert np.all(F.hat(outside) == 0.0)
+            assert np.all(F.hat(-outside) == 0.0)
+            xi = delta * np.linspace(-1.2, 1.2, 97)
+            assert np.array_equal(F.hat(-xi), np.conj(F.hat(xi)))
+            assert F.hat(xi).shape == xi.shape
+
+
+def test_hat_matches_windowed_transform():
+    # Away from xi = 0 and |xi| = delta the discarded tails oscillate, so the
+    # windowed transform's error falls like 1/W^2: a 10x window cuts the gap
+    # by ~100x.  At xi = 0 and |xi| = delta a non-oscillating part of the tail
+    # remains and the error falls like 1/W; at xi = 0 the analytic tail
+    # integral closes the gap to rounding.
+    rel = np.array([0.1, 0.3, 0.5, 0.8, 0.95, 1.05, 1.3])
+    for a, b, delta in HAT_CASES:
+        for kind in ("majorant", "minorant"):
+            F = selberg_interval(a, b, delta, kind)
+            xi = delta * np.concatenate([-rel[::-1], [-1.0, 0.0, 1.0], rel])
+            exact = F.hat(xi)
+            W = 1e3 / delta  # fourier_transform's default window
+            wide, tail_bound = fourier_transform(F, xi)
+            vals, _ = fourier_transform(F, xi, window=0.1 * W)
+            gap = np.abs(vals - exact)
+            gap_wide = np.abs(wide - exact)
+            assert np.max(gap_wide) <= tail_bound
+            oscillating = np.abs(np.abs(xi) - delta) > 1e-12 * delta
+            oscillating &= xi != 0.0
+            assert np.all(gap[oscillating] >= 50.0 * gap_wide[oscillating])
+            assert np.all(gap[~oscillating] >= 9.0 * gap_wide[~oscillating])
+            zero = int(np.flatnonzero(xi == 0.0)[0])
+            closed = wide[zero].real + _analytic_tail(F, F.a - W, F.b + W)
+            assert abs(closed - exact[zero].real) <= 1e-12
+
+
+def test_verify_bandlimit_report(monkeypatch):
     for kind in ("majorant", "minorant"):
         F = selberg_interval(-1.0, 1.0, 4.0, kind)
         rep = verify_bandlimit(F)
         assert rep["passed"]
+        assert rep["closed_form_ok"]
+        assert 0.0 < rep["closed_form_max_dev"] <= rep["tail_bound"]
         assert rep["f_hat0_abs_error"] <= 1e-5
         assert rep["max_out_of_band_abs"] <= rep["out_of_band_threshold"]
         assert rep["max_out_of_band_abs"] <= 1e-6
         assert rep["conj_symmetry_max_dev"] <= 1e-12
         assert rep["expected_f_hat0"] == F.exact_integral()
+    # A closed form with the wrong phase fails the cross-check and the report.
+    exact_hat = BandlimitedFunction.hat
+    monkeypatch.setattr(BandlimitedFunction, "hat",
+                        lambda self, xi: np.conj(exact_hat(self, xi)))
+    rep = verify_bandlimit(selberg_interval(0.0, 3.0, 2.0))
+    assert not rep["closed_form_ok"] and not rep["passed"]
+    assert rep["closed_form_max_dev"] > 1.0
 
 
 def test_verify_bandlimit_window_too_small():

@@ -196,6 +196,7 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, err
         assert not out.exists()
+        return err
 
     assert_one_line_error(main(["variance", "--T", "abc", "--psi", "15",
                                 "--out", str(out)]))
@@ -206,6 +207,10 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
     for text in ('{"T": "abc", "psi": 15}', '{"workers": "x", "T": 1e5}', "{bad"):
         cfg.write_text(text, encoding="utf-8")
         assert_one_line_error(main(argv + ["--config", str(cfg)]))
+    # A non-finite interval end or band limit is named before any work.
+    for name in ("delta", "b"):
+        err = assert_one_line_error(main(["bs", f"--{name}", "inf", "--out", str(out)]))
+        assert err == f"error: {name} must be finite, got inf\n"
 
     # Flags another command declares are unknown here: argparse exits 2.
     for wrong in (["bs", "--T", "5"], ["variance", "--T", "1e5", "--psi", "15",
@@ -348,13 +353,17 @@ def test_console_entry_point(tmp_path):
         assert name in helped.stdout
 
 
-def test_torus_demo_runs(tmp_path):
-    demo = Path(__file__).resolve().parents[1] / "demos" / "torus_gaussian_limit.py"
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
+@pytest.mark.parametrize("demo, marker, count", [
+    ("torus_gaussian_limit.py", "x = ", 3),
+    ("bandlimit_gallery.py", "passed: True", 1),
+], ids=["torus_gaussian_limit.py", "bandlimit_gallery.py"])
+def test_torus_demo_runs(tmp_path, demo, marker, count):
+    path = Path(__file__).resolve().parents[1] / "demos" / demo
+    proc = subprocess.run([sys.executable, str(path)], capture_output=True,
                           text=True, cwd=tmp_path, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.split("\n")
-    assert sum(line.lstrip().startswith("x = ") for line in lines) == 3
+    assert sum(line.lstrip().startswith(marker) for line in lines) == count
 
 
 @pytest.mark.skipif(shutil.which("zetalab") is None,

@@ -224,6 +224,14 @@ def test_rect_prob_from_chf_gaussian_route():
             chf, selberg_interval(-1.0, 1.0, 4.0, "minorant"), F)
     with pytest.raises(QuadratureError):
         lab.rect_prob_from_chf(chf, F, F, quad_tol=1e-16)
+    # A nan tolerance would make the doubling check vacuous.
+    for bad in (float("nan"), float("inf"), 0.0, -1e-5):
+        with pytest.raises(DomainError):
+            lab.rect_prob_from_chf(chf, F, F, quad_tol=bad)
+    for name in ("osc_rate_u", "osc_rate_v"):
+        for bad in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(DomainError):
+                lab.rect_prob_from_chf(chf, F, F, **{name: bad})
 
 
 def test_rect_prob_from_chf_brackets_direct_count(gauss_20k):
