@@ -4,8 +4,9 @@ Computes out[j] = sum_k c_k exp(-i j phi_k) for j = 0..n_out-1, with the
 phases phi_k anywhere in [0, 2pi). Sources are spread onto an oversampled
 uniform grid with a truncated Gaussian window, then one FFT and a
 deconvolution recover the modes. With oversampling 2 and spreading width 14
-the relative accuracy is ~3e-13 (validated against direct summation), far
-below every tolerance used by callers.
+the error is at most RELATIVE_ACCURACY * sum_k |c_k| (checked against
+long-double sums for up to 1e5 modes), as offsets are taken from the exact
+grid step 2 pi / Mr: a rounded step would shift mode j by j * eps.
 
 The accumulator form lets callers stream arbitrarily large source sets
 segment by segment: spreading is additive, and the FFT happens once at the
@@ -18,11 +19,14 @@ import math
 
 import numpy as np
 
+RELATIVE_ACCURACY = 3e-14
+_TWO_PI_LO = 2.4492935982947064e-16  # 2 pi - float(2 pi)
+
 
 class NufftSum:
     """Streaming accumulator for sum_k c_k exp(-i j phi_k)."""
 
-    def __init__(self, n_out: int, ratio: int = 2, spread: int = 14):
+    def __init__(self, n_out: int, ratio: int = 2, spread: int = 14, shape: tuple = ()):
         if n_out < 1:
             raise ValueError("n_out must be positive")
         self.n_out = int(n_out)
@@ -31,21 +35,26 @@ class NufftSum:
         self.spread = spread
         self.tau = math.pi * spread / (M * M * ratio * (ratio - 0.5))
         self.h = 2.0 * math.pi / self.Mr
-        self._grid_re = np.zeros(self.Mr)
-        self._grid_im = np.zeros(self.Mr)
+        # h = h_hi + h_lo to double-double; i * h_hi is exact (24 bits).
+        self._h_hi = float(np.float32(self.h))
+        self._h_lo = ((2.0 * math.pi - self._h_hi * self.Mr) + _TWO_PI_LO) / self.Mr
+        self.shape = tuple(shape)
+        self._grid_re = np.zeros(self.shape + (self.Mr,))
+        self._grid_im = np.zeros(self.shape + (self.Mr,))
 
     def add(self, phi: np.ndarray, c: np.ndarray) -> None:
-        """Spread sources with phases phi (radians) and complex weights c."""
+        """Spread sources: phases phi (radians, shape (K,)), weights c (*shape, K)."""
         phi = np.asarray(phi, dtype=np.float64)
         c = np.asarray(c, dtype=np.complex128)
-        if phi.shape != c.shape:
-            raise ValueError("phi and c must have equal shape")
+        if phi.ndim != 1 or c.shape != self.shape + phi.shape:
+            raise ValueError("c must have shape (*shape, len(phi))")
         if phi.size == 0:
             return
         tau, h, Mr = self.tau, self.h, self.Mr
         x = np.mod(-phi, 2.0 * math.pi)
-        i0 = np.rint(x / h).astype(np.int64)
-        d = x - i0 * h
+        i0 = np.rint(x / h)
+        d = (x - i0 * self._h_hi) - i0 * self._h_lo
+        i0 = i0.astype(np.int64)
         E0 = c * np.exp(-d * d / (4.0 * tau))
         E1 = np.exp(d * h / (2.0 * tau))
         Epos = np.ones(phi.shape[0])
@@ -59,15 +68,16 @@ class NufftSum:
                 Em = 1.0 if m == 0 else (Epos if sgn > 0 else Eneg)
                 w = E0 * Em * g2
                 idx = np.mod(i0 + sgn * m, Mr)
-                self._grid_re += np.bincount(idx, weights=w.real, minlength=Mr)
-                self._grid_im += np.bincount(idx, weights=w.imag, minlength=Mr)
+                for r in np.ndindex(self.shape):
+                    self._grid_re[r] += np.bincount(idx, weights=w[r].real, minlength=Mr)
+                    self._grid_im[r] += np.bincount(idx, weights=w[r].imag, minlength=Mr)
 
     def finish(self) -> np.ndarray:
-        """Modes 0..n_out-1. The accumulator stays valid for further add()s."""
+        """Modes 0..n_out-1 (*shape, n_out). The accumulator stays valid for further add()s."""
         spectrum = np.fft.ifft(self._grid_re + 1j * self._grid_im)
         j = np.arange(self.n_out, dtype=np.float64)
         deconv = math.sqrt(math.pi / self.tau) * np.exp(j * j * self.tau)
-        return spectrum[: self.n_out] * deconv
+        return spectrum[..., : self.n_out] * deconv
 
 
 def exp_sum_direct(omega: np.ndarray, c: np.ndarray, t: np.ndarray) -> np.ndarray:

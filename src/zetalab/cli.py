@@ -26,6 +26,7 @@ import datetime
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from . import bandlimit, lab, selberg, torus, variance, zeta
 from .errors import ZetalabError
 
 _REQUIRED = object()  # default of a parameter the user must supply
+_NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)  # a negative value
 
 
 def _resolve(table: dict, args: argparse.Namespace, config: dict) -> dict:
@@ -435,6 +437,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # '--a -1e-1' -> '--a=-1e-1': argparse takes -1e-1 or -inf for a flag.
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1].startswith("--") and "=" not in argv[i - 1] and _NUMBER.match(argv[i]):
+            argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
     args = _build_parser().parse_args(argv)
     handler, table = _COMMANDS[args.command]
     try:

@@ -32,7 +32,9 @@ FLAG_OK = 0
 FLAG_NEAR_ZERO = 1
 FLAG_PRECISION = 2
 
-_WORKER_CHUNK = 2048  # multiple of the evaluator's internal band length
+# Random t and short grids: log_deriv_band chunks, a multiple of its band.
+_WORKER_CHUNK = 8 * zeta.BAND
+_GRID_MIN = 16  # grids this long or longer take one zeta.log_deriv_grid pass
 _DEFAULT_COUNT = 20_000
 _WARN_EXCLUDED = 0.10
 
@@ -93,11 +95,6 @@ class LineSampleSet:
         return head
 
 
-def _eval_line_chunk(args):
-    sigma, t_chunk, tol = args
-    return zeta.log_deriv_band(sigma, t_chunk, tol=tol)
-
-
 def sample_line(context: VarianceContext, t_lo: float = 50.0,
                 t_hi: float | None = None, sampling: Mapping | None = None,
                 tol: float = 1e-9, workers: int = 1) -> LineSampleSet:
@@ -106,9 +103,11 @@ def sample_line(context: VarianceContext, t_lo: float = 50.0,
     sampling: {"mode": "grid", "count": N} (or "dt": spacing), or
     {"mode": "random", "count": N, "seed": S}.  Default is an equispaced
     grid of 20000 points.  Near-zero and uncertified points are flagged,
-    not raised.  The evaluation is partitioned into fixed 2048-point
-    chunks whose results are merged in order, so the output is
-    bit-identical for every worker count.
+    not raised.  A grid of at least 16 points is evaluated in one
+    zeta.log_deriv_grid pass, which `workers` does not touch; random t and
+    shorter grids go through zeta.log_deriv_band in fixed 2048-point
+    chunks, spread over `workers` processes and merged in order.  Either
+    way the output is bit-identical for every worker count.
     """
     t_hi = float(context.T) if t_hi is None else float(t_hi)
     t_lo = float(t_lo)
@@ -145,22 +144,17 @@ def sample_line(context: VarianceContext, t_lo: float = 50.0,
     else:
         raise DomainError(f"unknown sampling mode {mode!r}")
 
-    n = t.size
-    values = np.empty(n, dtype=complex)
-    flags = np.empty(n, dtype=np.uint8)
-    if n:
-        chunks = [(context.sigma, t[i:i + _WORKER_CHUNK], tol)
-                  for i in range(0, n, _WORKER_CHUNK)]
+    if mode == "grid" and t.size >= _GRID_MIN:
+        values, flags = zeta.log_deriv_grid(context.sigma, t, tol=tol)
+    else:
+        chunks = [t[i:i + _WORKER_CHUNK] for i in range(0, t.size, _WORKER_CHUNK)] or [t]
+        args = ([context.sigma] * len(chunks), chunks, [tol] * len(chunks))
         if workers > 1 and len(chunks) > 1:
             with ProcessPoolExecutor(max_workers=int(workers)) as pool:
-                results = list(pool.map(_eval_line_chunk, chunks))
+                results = list(pool.map(zeta.log_deriv_band, *args))
         else:
-            results = [_eval_line_chunk(c) for c in chunks]
-        pos = 0
-        for vals_c, flags_c in results:
-            values[pos:pos + vals_c.size] = vals_c
-            flags[pos:pos + vals_c.size] = flags_c
-            pos += vals_c.size
+            results = list(map(zeta.log_deriv_band, *args))
+        values, flags = (np.concatenate(parts) for parts in zip(*results))
 
     scale = 1.0 / math.sqrt(context.V)
     samples = values * scale

@@ -118,6 +118,22 @@ def test_bs_command_and_rerun_determinism(tmp_path):
         assert _without_timestamp(ta) == _without_timestamp(tb), name
 
 
+def test_negative_values_in_exponent_notation(tmp_path, capsys):
+    # argparse alone takes "-1e-1" or "-inf" after a flag for another flag.
+    a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+    assert main(["bs", "--a", "-1e-1", "--out", str(a)]) == 0
+    assert main(["bs", "--a=-1e-1", "--out", str(b)]) == 0
+    assert _read_json(a / "bs.json")["params"]["a"] == -0.1
+    for name in ("bs.json", "bs_f.csv", "bs_fhat.csv"):
+        ta = (a / name).read_text(encoding="utf-8")
+        tb = (b / name).read_text(encoding="utf-8")
+        assert _without_timestamp(ta) == _without_timestamp(tb), name
+    capsys.readouterr()
+    assert main(["bs", "--b", "-inf", "--out", str(c)]) == 2
+    assert capsys.readouterr().err == "error: b must be finite, got -inf\n"
+    assert not c.exists()
+
+
 def test_zeros_command(tmp_path):
     rc = main(["zeros", "--t_max", "30", "--out", str(tmp_path)])
     assert rc == 0

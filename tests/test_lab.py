@@ -197,12 +197,15 @@ def test_sample_line_modes_and_gates():
 
 
 def test_sample_line_worker_invariance():
+    # Grids take one log_deriv_grid pass; random t goes through the
+    # banded evaluator over a process pool.
     ctx = make_context(T=1000.0, sigma=2.0)
-    spec = {"mode": "grid", "count": 4100}
-    one = lab.sample_line(ctx, t_lo=50.0, t_hi=1000.0, sampling=spec, workers=1)
-    two = lab.sample_line(ctx, t_lo=50.0, t_hi=1000.0, sampling=spec, workers=2)
-    assert np.array_equal(one.samples, two.samples)
-    assert np.array_equal(one.flags, two.flags)
+    for spec in ({"mode": "grid", "count": 4100},
+                 {"mode": "random", "count": 4100, "seed": 3}):
+        one = lab.sample_line(ctx, t_lo=50.0, t_hi=1000.0, sampling=spec, workers=1)
+        two = lab.sample_line(ctx, t_lo=50.0, t_hi=1000.0, sampling=spec, workers=2)
+        assert np.array_equal(one.samples, two.samples)
+        assert np.array_equal(one.flags, two.flags)
 
 
 def test_rect_prob_from_chf_gaussian_route():

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetalab import zeta as zt
+from zetalab._nufft import RELATIVE_ACCURACY, NufftSum, exp_sum_direct
 from zetalab.errors import (
     CoverageError,
     DomainError,
@@ -26,6 +27,7 @@ mp.mp.dps = 30
 GAMMA_1 = 14.134725141734693790
 GAMMA_2 = 21.022039638771554993
 GAMMA_3 = 25.010857580145688764
+SIGMA_1E5 = 0.5 + 15.0 / (2.0 * math.log(1.0e5))  # the desk line at T = 1e5, psi = 15
 
 
 def test_zeta_pinned_values():
@@ -131,6 +133,67 @@ def test_log_deriv_band_flags_near_zero():
     values, flags = zt.log_deriv_band(0.5 + 5e-11, t)
     assert flags[1] == 1 and np.isnan(values[1].real)
     assert flags[0] == 0 and flags[2] == 0
+
+
+def test_nufft_shared_sums_match_single_and_direct():
+    rng = np.random.default_rng(5)
+    phi = rng.uniform(0.0, 2.0 * math.pi, 3000)
+    c = rng.standard_normal((2, 3000)) + 1j * rng.standard_normal((2, 3000))
+    both = NufftSum(257, shape=(2,))
+    both.add(phi, c)
+    out = both.finish()
+    assert out.shape == (2, 257)
+    for row in range(2):
+        one = NufftSum(257)
+        one.add(phi, c[row])
+        assert np.array_equal(one.finish(), out[row])
+        want = exp_sum_direct(phi, c[row], np.arange(257.0))
+        assert np.max(np.abs(out[row] - want)) <= RELATIVE_ACCURACY * np.sum(np.abs(c[row]))
+    with pytest.raises(ValueError):
+        both.add(phi, c[0])
+
+
+@pytest.mark.parametrize("t_grid, sigmas, picks", [
+    (np.linspace(1.0e4, 1.0e4 + 300.0, 1000), (0.75, SIGMA_1E5), (0, 377, 999)),
+    (np.linspace(1.0e5 - 900.0, 1.0e5, 600), (0.75, SIGMA_1E5), (0, 377, 599)),
+    # t[909] = 90995.5: log_deriv_band's rounding error there is 1.3e-9.
+    (np.linspace(50.0, 1.0e5, 1000), (0.75,), (909,)),
+])
+def test_log_deriv_grid_against_mpmath(t_grid, sigmas, picks):
+    for sigma in sigmas:
+        values, flags = zt.log_deriv_grid(sigma, t_grid, tol=1e-9)
+        assert np.all(flags == 0)
+        for i in picks:
+            s = mp.mpc(sigma, float(t_grid[i]))
+            want = complex(mp.zeta(s, derivative=1) / mp.zeta(s))
+            assert abs(values[i] - want) <= 1e-9, (sigma, t_grid[i])
+
+
+@pytest.mark.parametrize("sigma, t_hi", [(0.75, 2.0e4), (SIGMA_1E5, 1.0e5)])
+def test_log_deriv_grid_matches_band(sigma, t_hi):
+    # Both paths carry the rounding of phases t log n, which the remainder
+    # certificates leave out; at sigma = 0.75 it takes the band path 1.3e-9
+    # from zeta'/zeta near t = 9.1e4 (see the mpmath test), so the
+    # comparison there stops at 2e4.
+    t = np.linspace(50.0, t_hi, 1000)
+    grid, flags_grid = zt.log_deriv_grid(sigma, t)
+    band, flags_band = zt.log_deriv_band(sigma, t)
+    assert np.array_equal(flags_grid, flags_band)
+    assert np.max(np.abs(grid - band)) <= 1e-9
+
+
+def test_log_deriv_grid_flags_near_zero():
+    # t[16] == GAMMA_1 exactly: 1.0 and GAMMA_1 - 1.0 are exact doubles.
+    t = np.linspace(GAMMA_1 - 1.0, GAMMA_1 + 1.0, 33)
+    assert t[16] == GAMMA_1
+    values, flags = zt.log_deriv_grid(0.5 + 5e-11, t)
+    assert flags[16] == 1 and np.isnan(values[16].real)
+    assert np.count_nonzero(flags) == 1
+    assert np.array_equal(flags, zt.log_deriv_band(0.5 + 5e-11, t)[1])
+    with pytest.raises(DomainError):
+        zt.log_deriv_grid(0.75, t[:1])
+    with pytest.raises(DomainError):
+        zt.log_deriv_grid(0.5, t)
 
 
 def test_theta_riemann_siegel_pinned():
