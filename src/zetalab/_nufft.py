@@ -1,16 +1,24 @@
 """Type-1 nonuniform FFT by Gaussian gridding (Greengard-Lee style).
 
-Computes out[j] = sum_k c_k exp(-i j phi_k) for j = 0..n_out-1, with the
-phases phi_k anywhere in [0, 2pi). Sources are spread onto an oversampled
-uniform grid with a truncated Gaussian window, then one FFT and a
-deconvolution recover the modes. With oversampling 2 and spreading width 14
-the error is at most RELATIVE_ACCURACY * sum_k |c_k| (checked against
-long-double sums for up to 1e5 modes), as offsets are taken from the exact
-grid step 2 pi / Mr: a rounded step would shift mode j by j * eps.
+Computes out[j] = sum_k c_k exp(-i j phi_k), j < n_out, from unwrapped
+phases phi_k, reduced in integers, n = rint(phi / h), against the grid step
+h = 2 pi / Mr held in two doubles: no rounding of 2 pi or h shifts mode j by
+j * eps. Sources are spread onto an oversampled grid with a truncated
+Gaussian; one FFT and a deconvolution recover the modes. With oversampling 2
+and width 14 the error is at most RELATIVE_ACCURACY * sum |c| (one unit
+source against mpmath: 1.6-1.9e-13 within +-800 rad, up to 1e5 modes).
 
-The accumulator form lets callers stream arbitrarily large source sets
-segment by segment: spreading is additive, and the FFT happens once at the
-end. Results are independent of how sources are batched.
+Dense sources are grouped by phase cell first (the Taylor NUFFT of
+Anderson-Dahleh). Cells are 0.2 / n_out wide, so |j delta| < 0.1 for the
+offset delta from a cell centre. A lone source is spread at its phase; a
+cell with several is spread at its centre as M_k = sum c delta^k / k!,
+k < 9, each into its own Taylor-order grid (allocated at the first such
+cell), and finish() sums (-i j)^k mode_k by Horner's rule. The truncation
+adds at most TAYLOR_ACCURACY * sum |c| (3.05e-15).
+
+Spreading is additive, so callers stream sources segment by segment and the
+FFT runs once at the end; results do not depend on batching or order, up to
+the stated bounds.
 """
 
 from __future__ import annotations
@@ -19,8 +27,11 @@ import math
 
 import numpy as np
 
-RELATIVE_ACCURACY = 3e-14
+RELATIVE_ACCURACY = 3e-13
 _TWO_PI_LO = 2.4492935982947064e-16  # 2 pi - float(2 pi)
+_CELL = 0.2  # cell width times n_out
+_ORDERS = 9  # Taylor orders 0..8 per cell
+TAYLOR_ACCURACY = math.exp(0.1) * 0.1**_ORDERS / math.factorial(_ORDERS)
 
 
 class NufftSum:
@@ -35,49 +46,73 @@ class NufftSum:
         self.spread = spread
         self.tau = math.pi * spread / (M * M * ratio * (ratio - 0.5))
         self.h = 2.0 * math.pi / self.Mr
-        # h = h_hi + h_lo to double-double; i * h_hi is exact (24 bits).
+        # h = h_hi + h_lo to double-double; n * h_hi is exact for |n| < 2**29.
         self._h_hi = float(np.float32(self.h))
         self._h_lo = ((2.0 * math.pi - self._h_hi * self.Mr) + _TWO_PI_LO) / self.Mr
         self.shape = tuple(shape)
-        self._grid_re = np.zeros(self.shape + (self.Mr,))
-        self._grid_im = np.zeros(self.shape + (self.Mr,))
+        # Axis 0 is the Taylor order; it grows to _ORDERS on the first dense cell.
+        self._grid = np.zeros((1,) + self.shape + (self.Mr,), dtype=np.complex128)
 
     def add(self, phi: np.ndarray, c: np.ndarray) -> None:
-        """Spread sources: phases phi (radians, shape (K,)), weights c (*shape, K)."""
+        """Spread sources: unwrapped phases phi (radians, shape (K,)), weights c (*shape, K)."""
         phi = np.asarray(phi, dtype=np.float64)
         c = np.asarray(c, dtype=np.complex128)
         if phi.ndim != 1 or c.shape != self.shape + phi.shape:
             raise ValueError("c must have shape (*shape, len(phi))")
-        if phi.size == 0:
+        width = _CELL / self.n_out
+        cell = np.floor(phi / width)
+        if np.any(cell[1:] < cell[:-1]):
+            order = np.argsort(cell, kind="stable")
+            phi, c, cell = phi[order], np.take(c, order, axis=-1), cell[order]
+        starts = np.flatnonzero(np.diff(cell, prepend=-np.inf))
+        if starts.size == phi.size:  # no dense cell: spread as given, holding no extra arrays
+            del cell, starts
+            self._spread(self._grid[0], phi, c)
             return
+        counts = np.diff(starts, append=phi.size)
+        one, dense = starts[counts == 1], counts > 1
+        self._spread(self._grid[0], phi[one], np.take(c, one, axis=-1))
+        if self._grid.shape[0] == 1:
+            self._grid = np.pad(self._grid, [(0, _ORDERS - 1)] + [(0, 0)] * (1 + len(self.shape)))
+        centre = (cell[starts[dense]] + 0.5) * width
+        keep = np.repeat(dense, counts)
+        delta = phi[keep] - np.repeat(centre, counts[dense])
+        term, at = np.compress(keep, c, axis=-1), np.cumsum(counts[dense]) - counts[dense]
+        moments = [np.add.reduceat(term, at, axis=-1)]
+        for k in range(1, _ORDERS):
+            term = term * (delta / k)
+            moments.append(np.add.reduceat(term, at, axis=-1))
+        self._spread(self._grid, centre, np.array(moments))
+
+    def _spread(self, grid, phi, c) -> None:
+        """Add the Gaussian-gridded sources c (*S, K) at phases phi into grids (*S, Mr)."""
         tau, h, Mr = self.tau, self.h, self.Mr
-        x = np.mod(-phi, 2.0 * math.pi)
-        i0 = np.rint(x / h)
-        d = (x - i0 * self._h_hi) - i0 * self._h_lo
-        i0 = i0.astype(np.int64)
+        n = np.rint(phi / h)  # phi = n h - d, with d in [-h/2, h/2]
+        d = -((phi - n * self._h_hi) - n * self._h_lo)
+        i0 = np.mod(-n.astype(np.int64), Mr)
         E0 = c * np.exp(-d * d / (4.0 * tau))
         E1 = np.exp(d * h / (2.0 * tau))
-        Epos = np.ones(phi.shape[0])
-        Eneg = np.ones(phi.shape[0])
+        Epos = Eneg = np.ones(phi.shape[0])
         for m in range(self.spread + 1):
-            if m > 0:
-                Epos = Epos * E1
-                Eneg = Eneg / E1
             g2 = math.exp(-((m * h) ** 2) / (4.0 * tau))
-            for sgn in (0,) if m == 0 else (1, -1):
-                Em = 1.0 if m == 0 else (Epos if sgn > 0 else Eneg)
+            for sgn, Em in ((0, Epos),) if m == 0 else ((1, Epos), (-1, Eneg)):
                 w = E0 * Em * g2
                 idx = np.mod(i0 + sgn * m, Mr)
-                for r in np.ndindex(self.shape):
-                    self._grid_re[r] += np.bincount(idx, weights=w[r].real, minlength=Mr)
-                    self._grid_im[r] += np.bincount(idx, weights=w[r].imag, minlength=Mr)
+                for r in np.ndindex(c.shape[:-1]):
+                    grid.real[r] += np.bincount(idx, weights=w[r].real, minlength=Mr)
+                    grid.imag[r] += np.bincount(idx, weights=w[r].imag, minlength=Mr)
+            Epos, Eneg = Epos * E1, Eneg / E1
 
     def finish(self) -> np.ndarray:
         """Modes 0..n_out-1 (*shape, n_out). The accumulator stays valid for further add()s."""
-        spectrum = np.fft.ifft(self._grid_re + 1j * self._grid_im)
+        spectrum = np.fft.ifft(self._grid)
         j = np.arange(self.n_out, dtype=np.float64)
         deconv = math.sqrt(math.pi / self.tau) * np.exp(j * j * self.tau)
-        return spectrum[..., : self.n_out] * deconv
+        modes = spectrum[..., : self.n_out] * deconv
+        out = modes[-1]
+        for mode in modes[-2::-1]:  # Horner in -i j over the Taylor orders
+            out = mode + (-1j * j) * out
+        return out
 
 
 def exp_sum_direct(omega: np.ndarray, c: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -3,7 +3,8 @@
 All tables are plain numpy arrays produced by a sieve of Eratosthenes; the
 streaming helpers cover ranges too large to materialize (the scan machinery
 works through multi-gigaelement supports segment by segment without ever
-holding more than one segment in memory).
+holding more than one segment in memory). The streaming sieve marks odd
+numbers only, pre-sieved by 3..13 (Bays-Hudson).
 """
 
 from __future__ import annotations
@@ -150,18 +151,19 @@ def lambda_segments(
         return
     base = sieve_primes(math.isqrt(hi))
     base_logs = np.log(base.astype(np.float64))
+    sieving = [int(p) for p in base if p > 13]
+    wheel = np.gcd(2 * np.arange(15015) + 1, 15015) == 1  # is 2 i + 1 prime to 3..13
     for seg_lo in range(lo + 1, hi + 1, segment_size):
         seg_hi = min(seg_lo + segment_size - 1, hi)
-        mask = np.ones(seg_hi - seg_lo + 1, dtype=bool)
-        if seg_lo == 1:
-            mask[0] = False
-        for p in base:
-            p = int(p)
+        first = seg_lo | 1  # mask[i] stands for the odd number first + 2 i
+        mask = np.resize(np.roll(wheel, -(first // 2)), max(0, (seg_hi - first) // 2 + 1))
+        for p in sieving:
             if p * p > seg_hi:
                 break
-            start = max(p * p, ((seg_lo + p - 1) // p) * p)
-            mask[start - seg_lo :: p] = False
-        seg_primes = np.nonzero(mask)[0].astype(np.int64) + seg_lo
+            start = max(p * p, ((first + p - 1) // p) * p)
+            mask[(start + p * (start % 2 == 0) - first) // 2 :: p] = False
+        small = np.array([p for p in (2, 3, 5, 7, 11, 13) if seg_lo <= p <= seg_hi], np.int64)
+        seg_primes = np.concatenate((small, 2 * np.nonzero(mask)[0] + first))
         # Prime powers p^k (k >= 2) landing in this segment.
         pp_vals = [seg_primes]
         pp_logs = [np.log(seg_primes.astype(np.float64))]

@@ -175,25 +175,27 @@ class ScanResult:
 
 
 def _is_equispaced(t: np.ndarray) -> bool:
-    if t.shape[0] < 16:
+    """Whether t_j = t0 + j dt, dt = (t[-1] - t0) / (n - 1), to 4 eps max|t| (linspace: 1 ulp)."""
+    n = t.shape[0]
+    if n < 16:
         return False
-    d = np.diff(t)
-    return bool(np.all(np.abs(d - d[0]) <= 1e-9 * abs(d[0])))
+    grid = t[0] + np.arange(n) * ((t[-1] - t[0]) / (n - 1))
+    return bool(np.max(np.abs(t - grid)) <= 4.0 * np.finfo(float).eps * np.max(np.abs(t)))
 
 
 def _weighted_poly_grid(sigma: float, x: float, t: np.ndarray) -> np.ndarray:
     """Weighted polynomial on a t grid, streaming prime powers to x^3.
 
-    Equispaced grids go through the type-1 NUFFT (one pass over the sieve
-    segments, one FFT); other grids fall back to direct chunked summation.
-    Both paths consume identical per-segment coefficients.
+    Equispaced grids go through the type-1 NUFFT at the unwrapped phases
+    dt log n (one pass over the sieve segments, one FFT); other grids fall
+    back to direct chunked summation. Both take the same coefficients.
     """
     spec = SelbergWeightSpec(x=x)
     x3 = x**3
     equi = _is_equispaced(t)
     if equi:
         t0 = float(t[0])
-        dt = float(t[1] - t[0])
+        dt = (float(t[-1]) - t0) / (t.shape[0] - 1)
         acc = NufftSum(n_out=t.shape[0])
     pieces_val: list[np.ndarray] = []
     pieces_coeff: list[np.ndarray] = []
@@ -203,8 +205,7 @@ def _weighted_poly_grid(sigma: float, x: float, t: np.ndarray) -> np.ndarray:
         coeff = w * logp * v**-sigma
         lv = np.log(v)
         if equi:
-            phases = np.mod(dt * lv, 2.0 * math.pi)
-            acc.add(phases, coeff * np.exp(-1j * t0 * lv))
+            acc.add(dt * lv, coeff * np.exp(-1j * t0 * lv))
         else:
             pieces_val.append(lv)
             pieces_coeff.append(coeff.astype(np.complex128))

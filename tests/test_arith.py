@@ -115,6 +115,18 @@ def test_lambda_segments_half_open_range():
     assert list(lambda_segments(50, 50)) == []
 
 
+@pytest.mark.parametrize("segment_size", [7, 997, 15014, 15015, 15016])
+def test_lambda_segments_match_table(segment_size):
+    # Segment edges against the odd-only sieve's 15015-periodic wheel, and
+    # starts at and next to the wheel primes it adds back.
+    table = prime_powers_up_to(10**5)
+    for lo in (0, 1, 2, 3, 13, 14):
+        segments = list(lambda_segments(lo, 10**5, segment_size=segment_size))
+        keep = table.value > lo
+        assert np.array_equal(np.concatenate([v for v, _ in segments]), table.value[keep])
+        assert np.array_equal(np.concatenate([g for _, g in segments]), table.log_prime[keep])
+
+
 def test_chebyshev_psi_pinned():
     # Brute-force factorization oracle sums, pinned from an offline session.
     assert chebyshev_psi(100) == pytest.approx(94.0453112293574, abs=1e-9)

@@ -10,10 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zetalab._nufft import exp_sum_direct
+from zetalab.arith import prime_powers_up_to
 from zetalab.errors import CoverageError, DomainError
 from zetalab.selberg import (
     ScanResult,
     SelbergWeightSpec,
+    _is_equispaced,
     _weighted_poly_grid,
     convergent_tail_bound,
     dirichlet_poly_plain,
@@ -236,6 +239,24 @@ def test_grid_poly_direct_route_matches_scalar_route():
         [dirichlet_poly_weighted(complex(sigma, tt), spec) for tt in t]
     )
     assert np.max(np.abs(grid - scalar)) <= 1e-11
+
+
+def test_grid_poly_drifted_grid_takes_direct_route():
+    # Steps after the first stretched by 9e-10 (relative): not equispaced,
+    # so no NUFFT evaluation at t0 + j dt; linspace grids still take it.
+    sigma, x = 1.2, 50.0
+    steps = np.diff(np.linspace(50.0, 300.0, 1000))
+    steps[1:] *= 1.0 + 9e-10
+    t = np.concatenate([[50.0], 50.0 + np.cumsum(steps)])
+    assert not _is_equispaced(t)
+    table = prime_powers_up_to(x**3)
+    v = table.value.astype(np.float64)
+    coeff = weight_w(v, SelbergWeightSpec(x=x)) * table.log_prime * v**-sigma
+    want = exp_sum_direct(np.log(v), coeff, t)
+    assert np.max(np.abs(_weighted_poly_grid(sigma, x, t) - want)) <= 1e-12
+    for a, b, n in ((50.0, 300.0, 1000), (50.0, 1e5, 1500), (1e4, 1e4 + 300.0, 1000),
+                    (50.0, 1000.0, 1000), (50.0, 4e5, 20000)):
+        assert _is_equispaced(np.linspace(a, b, n))
 
 
 def test_scan_in_convergent_region():
