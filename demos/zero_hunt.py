@@ -3,8 +3,9 @@ Hunting zeros on the critical line
 ==================================
 
 The Hardy Z-function is real on the critical line and changes sign at
-every zero, so bracketing sign changes on a grid and polishing with
-Brent's method finds all ordinates up to a given height.  The smooth
+every zero, so bracketing sign changes on a grid and shrinking every
+bracket at once by regula falsi (one Z evaluation per step for all of
+them) finds all ordinates up to a given height.  The smooth
 count theta(t)/pi + 1 predicts how many there should be; the search
 refuses to return if its count strays from that prediction.
 """
@@ -28,7 +29,7 @@ for i, g in enumerate(zeros.gamma, start=1):
     prev = float(g)
 
 # Every ordinate should sit where the Hardy function vanishes.
-worst = max(abs(zeta.hardy_z(float(g))) for g in zeros.gamma)
+worst = abs(zeta.hardy_z(zeros.gamma)).max()
 print(f"\nmax |Z(gamma)| over the table: {worst:.2e}")
 
 # The zero table round-trips through its CSV form, so a scan can be fed

@@ -360,7 +360,7 @@ def cmd_zeros(p: dict, out: str, workers: int, seed: int, tol: float) -> int:
     t_max = p["t_max"]
     if t_max > 1000.0:
         raise ZetalabError("zero search is supported up to t_max = 1000")
-    zeros = zeta.find_zero_ordinates(t_max, tol=tol if tol <= 1e-6 else 1e-9)
+    zeros = zeta.find_zero_ordinates(t_max, tol=1e-9 if 1e-6 < tol < math.inf else tol)
     body = {"t_max": t_max, "count": int(zeros.gamma.size),
             "coverage": float(zeros.coverage), "hard_invariants_ok": True}
     files = {

@@ -237,6 +237,16 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
         assert not out.exists()
 
 
+def test_zeros_command_rejects_bad_tol(tmp_path, capsys):
+    out = tmp_path / "run"
+    for bad in ("0", "-1", "nan"):
+        rc = main(["zeros", "--t_max", "40", "--tol", bad, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: tol must be finite and > 0") and err.count("\n") == 1, err
+        assert not out.exists()
+
+
 def test_failed_write_leaves_no_files(tmp_path, monkeypatch):
     real_write = Path.write_text
     calls = []

@@ -221,6 +221,30 @@ def test_find_zero_ordinates_first_three():
     assert zeros.coverage >= 26.0
 
 
+def test_hardy_z_array_matches_scalar_calls():
+    t = np.sort(np.random.default_rng(5).uniform(15.0, 300.0, size=40))
+    for tol in (1e-12, 1e-9):
+        z = zt.hardy_z(t, tol)
+        assert z.shape == t.shape and z.dtype == np.float64
+        one = np.array([zt.hardy_z(float(u), tol) for u in t])
+        assert np.all(np.abs(z - one) <= tol)
+    with pytest.raises(PrecisionError):
+        zt.hardy_z(np.array([100.0, 2.0e7]))
+
+
+def test_find_zero_ordinates_against_mpmath():
+    zeros = zt.find_zero_ordinates(305.0)
+    for n in (1, 2, 3, 50, 100, 141):
+        assert abs(zeros.gamma[n - 1] - float(mp.zetazero(n).imag)) <= 1e-9
+    # Zero 142 sits at 305.72891, just below 305.73: that count is accepted
+    # only after both grid refinements.
+    for t_max in (26.0, 100.0, 305.0, 305.73):
+        assert len(zt.find_zero_ordinates(t_max)) == int(mp.nzeros(t_max))
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            zt.find_zero_ordinates(40.0, tol=bad)
+
+
 def test_count_zeros_above():
     zeros = zt.make_zero_list(
         [(0.5, 14.1), (0.7, 21.0), (0.5, 25.0), (0.9, 30.0)], coverage=40.0
