@@ -360,8 +360,8 @@ def cmd_zeros(p: dict, out: str, workers: int, seed: int, tol: float) -> int:
     t_max = p["t_max"]
     if t_max > 1000.0:
         raise ZetalabError("zero search is supported up to t_max = 1000")
-    zeros = zeta.find_zero_ordinates(t_max, tol=1e-9 if 1e-6 < tol < math.inf else tol)
-    body = {"t_max": t_max, "count": int(zeros.gamma.size),
+    zeros = zeta.find_zero_ordinates(t_max, tol=tol)
+    body = {"t_max": t_max, "tol": tol, "count": int(zeros.gamma.size),
             "coverage": float(zeros.coverage), "hard_invariants_ok": True}
     files = {
         "zeros.txt": zeta.zero_table_text(zeros),

@@ -22,11 +22,9 @@ from typing import Mapping, Optional
 import numpy as np
 
 from . import zeta
-from .arith import prime_powers_up_to
 from .bandlimit import BandlimitedFunction, selberg_interval
 from .errors import DomainError, QuadratureError
 from .variance import VarianceContext
-from ._nufft import exp_sum_direct
 
 FLAG_OK = 0
 FLAG_NEAR_ZERO = 1
@@ -501,24 +499,12 @@ def rect_prob_from_chf(chf, F: BandlimitedFunction, G: BandlimitedFunction,
                         details={"lower_coarse": float(lo1), "upper_coarse": float(up1)})
 
 
-def sample_prime_poly(sigma: float, x: float, t_values) -> np.ndarray:
-    """Unnormalized prime-power polynomial sum over p^n <= x of
-    log(p) p^(-n(sigma+it)) at each t (plain weight, sharp cutoff)."""
-    t = np.asarray(t_values, dtype=float)
-    table = prime_powers_up_to(x)
-    if table.value.size == 0:
-        return np.zeros(t.shape, dtype=complex)
-    coeff = table.log_prime * table.value ** (-float(sigma))
-    omega = np.log(table.value.astype(float))
-    return exp_sum_direct(omega, coeff.astype(complex), t)
-
-
 def time_vs_torus_moments(poly_samples, model, m: int, k: int) -> dict:
     """Compare t-averaged moments of the normalized prime polynomial with
     the exact torus moments.
 
     poly_samples: unnormalized polynomial values f(t) (as from
-    sample_prime_poly); they are normalized by sqrt(model.V) here.
+    selberg.prime_poly); they are normalized by sqrt(model.V) here.
     Requires m, k <= 2 (the regime where the time average is reliable
     at desk scale).
     """

@@ -1,7 +1,7 @@
 """Weighted explicit-formula machinery: the smoothing weight w_x(n), the
-local validity threshold sigma_xt, weighted/plain prime-power Dirichlet
-polynomials, and residual scans quantifying how well the weighted polynomial
-tracks -zeta'/zeta along a line.
+local validity threshold sigma_xt, the prime-power Dirichlet polynomial
+prime_poly (plain or weighted), and residual scans quantifying how well the
+weighted polynomial tracks -zeta'/zeta along a line.
 
 The weight is 1 up to x, then decays through two quadratic-in-log branches
 and vanishes beyond x^3, staying inside [0, 1] with continuous joins. The
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._nufft import NufftSum, exp_sum_direct
-from .arith import TABLE_CAP_DEFAULT, lambda_segments, prime_powers_up_to
+from .arith import lambda_segments
 from .errors import CoverageError, DomainError
 from .zeta import ZeroList, log_deriv_band
 
@@ -90,70 +90,34 @@ def _qualifying_window(x: float, beta: np.ndarray) -> np.ndarray:
     return x ** (3.0 * np.abs(beta - 0.5)) / math.log(x)
 
 
-def sigma_xt(x: float, t: float, zeros: ZeroList) -> float:
+def sigma_xt(x: float, t, zeros: ZeroList):
     """Local explicit-formula threshold 1/2 + 2 max(max_q(beta - 1/2), 2/log x).
 
     A zero qualifies when |t - gamma| (or |t + gamma|, by conjugate symmetry
     of the zero set) is at most x^{3|beta-1/2|}/log x. The zero list must
-    cover the largest such window around t for its own betas.
+    cover the largest such window around every t for its own betas. t is a
+    float (float result) or an array (array of thresholds, same shape).
     """
     if x < 2:
         raise DomainError(f"sigma_xt requires x >= 2, got {x:g}")
-    if t <= 0:
-        raise DomainError(f"sigma_xt requires t > 0, got {t:g}")
+    ts = np.asarray(t, dtype=np.float64)
+    if np.any(ts <= 0):
+        raise DomainError(f"sigma_xt requires t > 0, got {float(np.min(ts)):g}")
     L = math.log(x)
-    if len(zeros):
-        wmax = float(np.max(_qualifying_window(x, zeros.beta)))
-    else:
-        wmax = 1.0 / L
-    if zeros.coverage < t + wmax:
+    win = _qualifying_window(x, zeros.beta)
+    reach = float(np.max(ts)) + (float(np.max(win)) if len(zeros) else 1.0 / L)
+    if zeros.coverage < reach:
         raise CoverageError(
-            f"zero list coverage {zeros.coverage:g} below t + window = "
-            f"{t + wmax:g}"
+            f"zero list coverage {zeros.coverage:g} below t + window = {reach:g}"
         )
-    best = 2.0 / L
-    if len(zeros):
-        win = _qualifying_window(x, zeros.beta)
-        hit = (np.abs(t - zeros.gamma) <= win) | (np.abs(t + zeros.gamma) <= win)
-        if np.any(hit):
-            best = max(best, float(np.max(zeros.beta[hit] - 0.5)))
-    return 0.5 + 2.0 * best
-
-
-def _fsum_complex(re_terms: np.ndarray, im_terms: np.ndarray) -> complex:
-    return complex(math.fsum(re_terms.tolist()), math.fsum(im_terms.tolist()))
-
-
-def dirichlet_poly_plain(
-    s: complex, x: float, cap: int = TABLE_CAP_DEFAULT
-) -> complex:
-    """sum_{n <= x} Lambda(n) n^{-s}, compensated summation, x < 2 -> 0."""
-    s = complex(s)
-    if x < 2:
-        return 0.0 + 0.0j
-    table = prime_powers_up_to(x, cap=cap)
-    v = table.value.astype(np.float64)
-    amp = table.log_prime * v**-s.real
-    ph = s.imag * np.log(v)
-    return _fsum_complex(amp * np.cos(ph), -amp * np.sin(ph))
-
-
-def dirichlet_poly_weighted(
-    s: complex, spec: SelbergWeightSpec, cap: int = TABLE_CAP_DEFAULT
-) -> complex:
-    """sum_{n <= x^3} w_x(n) Lambda(n) n^{-s}, compensated summation.
-
-    Materializes the prime-power table to x^3, so the cap applies; scans over
-    large x should use explicit_formula_scan, which streams segments instead.
-    """
-    s = complex(s)
-    x3 = spec.x**3
-    table = prime_powers_up_to(x3, cap=cap)
-    v = table.value.astype(np.float64)
-    w = weight_w(v, spec)
-    amp = w * table.log_prime * v**-s.real
-    ph = s.imag * np.log(v)
-    return _fsum_complex(amp * np.cos(ph), -amp * np.sin(ph))
+    # Only zeros with beta - 1/2 above the floor 2/log x can raise it.
+    lift = zeros.beta - 0.5 > 2.0 / L
+    b, g, w = zeros.beta[lift], zeros.gamma[lift], win[lift]
+    tc = ts[..., None]
+    hit = (np.abs(tc - g) <= w) | (np.abs(tc + g) <= w)
+    best = np.max(np.where(hit, b - 0.5, 2.0 / L), axis=-1, initial=2.0 / L)
+    out = 0.5 + 2.0 * best
+    return float(out) if ts.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -183,39 +147,35 @@ def _is_equispaced(t: np.ndarray) -> bool:
     return bool(np.max(np.abs(t - grid)) <= 4.0 * np.finfo(float).eps * np.max(np.abs(t)))
 
 
-def _weighted_poly_grid(sigma: float, x: float, t: np.ndarray) -> np.ndarray:
-    """Weighted polynomial on a t grid, streaming prime powers to x^3.
+def prime_poly(sigma: float, t, x: float, weighted: bool = False):
+    """sum_n a(n) Lambda(n) n^{-sigma-it}: a = 1 on n <= x, or a = w_x(n) on n <= x^3.
 
-    Equispaced grids go through the type-1 NUFFT at the unwrapped phases
-    dt log n (one pass over the sieve segments, one FFT); other grids fall
-    back to direct chunked summation. Both take the same coefficients.
+    t is a float (complex result) or a 1-d array. Prime powers stream from
+    lambda_segments, so no table is materialized. Equispaced t go through
+    the type-1 NUFFT at the unwrapped phases dt log n (one add per sieve
+    segment, one FFT); other t are summed directly segment by segment.
     """
-    spec = SelbergWeightSpec(x=x)
-    x3 = x**3
-    equi = _is_equispaced(t)
+    ts = np.asarray(t, dtype=np.float64)
+    grid = np.atleast_1d(ts)
+    spec = SelbergWeightSpec(x=x) if weighted else None
+    equi = _is_equispaced(grid)
     if equi:
-        t0 = float(t[0])
-        dt = (float(t[-1]) - t0) / (t.shape[0] - 1)
-        acc = NufftSum(n_out=t.shape[0])
-    pieces_val: list[np.ndarray] = []
-    pieces_coeff: list[np.ndarray] = []
-    for value, logp in lambda_segments(1, x3):
+        t0 = float(grid[0])
+        dt = (float(grid[-1]) - t0) / (grid.shape[0] - 1)
+        acc = NufftSum(n_out=grid.shape[0])
+    else:
+        out = np.zeros(grid.shape[0], dtype=np.complex128)
+    for value, logp in lambda_segments(1, x**3 if weighted else x):
         v = value.astype(np.float64)
-        w = weight_w(v, spec)
-        coeff = w * logp * v**-sigma
+        coeff = (weight_w(v, spec) * logp if weighted else logp) * v**-sigma
         lv = np.log(v)
         if equi:
             acc.add(dt * lv, coeff * np.exp(-1j * t0 * lv))
         else:
-            pieces_val.append(lv)
-            pieces_coeff.append(coeff.astype(np.complex128))
+            out += exp_sum_direct(lv, coeff, grid)
     if equi:
-        return acc.finish()
-    omega = np.concatenate(pieces_val) if pieces_val else np.zeros(0)
-    coeff = (
-        np.concatenate(pieces_coeff) if pieces_coeff else np.zeros(0, complex)
-    )
-    return exp_sum_direct(omega, coeff, t)
+        out = acc.finish()
+    return complex(out[0]) if ts.ndim == 0 else out
 
 
 def convergent_tail_bound(sigma: float, x: float) -> float:
@@ -253,25 +213,7 @@ def explicit_formula_scan(
     if np.any(t <= 0) or not np.all(np.diff(t) > 0):
         raise DomainError("t_grid must be positive and strictly increasing")
 
-    # Threshold gate. The per-point threshold only varies where some zero's
-    # qualifying window is entered, so evaluate it by sweeping the zero list
-    # once instead of calling sigma_xt per point.
-    L = math.log(x)
-    if len(zeros):
-        wmax = float(np.max(_qualifying_window(x, zeros.beta)))
-    else:
-        wmax = 1.0 / L
-    if zeros.coverage < float(t[-1]) + wmax:
-        raise CoverageError(
-            f"zero list coverage {zeros.coverage:g} below t_max + window"
-        )
-    best = np.full(t.shape[0], 2.0 / L)
-    for b, g in zip(zeros.beta, zeros.gamma):
-        win = x ** (3.0 * abs(b - 0.5)) / L
-        hit = (np.abs(t - g) <= win) | (np.abs(t + g) <= win)
-        if b - 0.5 > 2.0 / L:
-            best[hit] = np.maximum(best[hit], b - 0.5)
-    threshold = 0.5 + 2.0 * best
+    threshold = sigma_xt(x, t, zeros)
     flags = np.zeros(t.shape[0], dtype=np.uint8)
     flags[sigma < threshold] = 1
 
@@ -279,7 +221,7 @@ def explicit_formula_scan(
     flags[(flags == 0) & (engine_flags != 0)] = 2
     lhs = -lhs_raw
 
-    poly = _weighted_poly_grid(sigma, x, t)
+    poly = prime_poly(sigma, t, x, weighted=True)
     ok = flags == 0
     residual = np.where(ok, lhs - poly, np.nan + 1j * np.nan)
     bound = x ** ((0.5 - sigma) / 2.0) * (np.abs(poly) + np.log(t))

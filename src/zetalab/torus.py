@@ -138,6 +138,14 @@ def _coeff_maps(model: TorusModel, r_max: int, max_keys: int) -> list[dict]:
     return maps
 
 
+def _match(maps: list[dict], m: int, k: int) -> float:
+    """E[S^m conj(S)^k] = sum over the keys of A_m and A_k of A_m[key] A_k[key]."""
+    A, B = maps[m], maps[k]
+    if len(B) < len(A):
+        A, B = B, A
+    return math.fsum(amp * B[key] for key, amp in A.items() if key in B)
+
+
 def torus_moment_exact(
     model: TorusModel, m: int, k: int, max_keys: int = 5_000_000
 ) -> complex:
@@ -152,12 +160,7 @@ def torus_moment_exact(
         raise DomainError("moment orders must be nonnegative")
     if m + k > 6:
         raise DomainError(f"moment order m + k = {m + k} exceeds the cap 6")
-    maps = _coeff_maps(model, max(m, k), max_keys)
-    A, B = maps[m], maps[k]
-    if len(B) < len(A):
-        A, B = B, A
-    total = math.fsum(amp * B[key] for key, amp in A.items() if key in B)
-    return complex(total, 0.0)
+    return complex(_match(_coeff_maps(model, max(m, k), max_keys), m, k), 0.0)
 
 
 def chf_product(
@@ -225,14 +228,18 @@ def _mc_blocks(n_samples: int):
     return blocks
 
 
-def _mc_block_sums(model: TorusModel, u: float, v: float, seed: int, block):
-    """(sum g, sum |g|^2, n) over one counter-seeded block of samples."""
+def _mc_block_S(model: TorusModel, seed: int, block) -> np.ndarray:
+    """S at one block of uniform torus samples, Philox keyed by (seed, block index)."""
     index, size = block
     rng = np.random.Generator(np.random.Philox(key=[int(seed), int(index)]))
-    theta = rng.random((size, model.n_primes()))
-    S = _eval_S_block(model, theta)
+    return _eval_S_block(model, rng.random((size, model.n_primes())))
+
+
+def _mc_block_sums(model: TorusModel, u: float, v: float, seed: int, block):
+    """(sum g, sum |g|^2, n) over one counter-seeded block of samples."""
+    S = _mc_block_S(model, seed, block)
     g = np.exp(2j * math.pi * (u * S.real + v * S.imag))
-    return complex(np.sum(g)), float(np.sum(np.abs(g) ** 2)), size
+    return complex(np.sum(g)), float(np.sum(np.abs(g) ** 2)), block[1]
 
 
 def chf_montecarlo(
@@ -302,20 +309,13 @@ def chf_by_moments(model: TorusModel, u: float, v: float, N: int = 6) -> complex
     if N < 2 or N % 2 or N > 6:
         raise DomainError(f"N must be an even integer in [2, 6], got {N}")
     maps = _coeff_maps(model, N - 1, max_keys=5_000_000)
-
-    def moment(j: int, l: int) -> float:
-        A, B = maps[j], maps[l]
-        if len(B) < len(A):
-            A, B = B, A
-        return math.fsum(amp * B[key] for key, amp in A.items() if key in B)
-
     C1 = (u - 1j * v) / 2.0
     C2 = (u + 1j * v) / 2.0
     total = complex(0.0, 0.0)
     for k in range(N):
         inner = complex(0.0, 0.0)
         for j in range(k + 1):
-            inner += math.comb(k, j) * C1**j * C2 ** (k - j) * moment(j, k - j)
+            inner += math.comb(k, j) * C1**j * C2 ** (k - j) * _match(maps, j, k - j)
         total += (2j * math.pi) ** k / math.factorial(k) * inner
     return total
 
@@ -333,17 +333,12 @@ def moment_bound_check(
         raise DomainError(f"moment_bound_check requires 0 <= k <= 3, got {k}")
     bound = 18.0**k * math.factorial(k)
     exact = torus_moment_exact(model, k, k).real
-    total = 0.0
-    total_sq = 0.0
-    n = 0
+    total = total_sq = 0.0
     for block in _mc_blocks(n_samples):
-        index, size = block
-        rng = np.random.Generator(np.random.Philox(key=[int(seed), int(index)]))
-        theta = rng.random((size, model.n_primes()))
-        g = np.abs(_eval_S_block(model, theta)) ** (2 * k)
+        g = np.abs(_mc_block_S(model, seed, block)) ** (2 * k)
         total += float(np.sum(g))
         total_sq += float(np.sum(g * g))
-        n += size
+    n = n_samples
     mc = total / n
     se = math.sqrt(max(total_sq - n * mc * mc, 0.0) / (n * (n - 1)))
     return {

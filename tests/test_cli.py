@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -147,6 +148,14 @@ def test_zeros_command(tmp_path):
                                   25.010857580145689)):
         assert abs(got - want) <= 1e-6
     assert all(float(l.split()[0]) == 0.5 for l in data)
+    # A coarse tol is used as given and recorded.
+    assert main(["zeros", "--t_max", "40", "--tol", "1e-3", "--out", str(tmp_path)]) == 0
+    assert _read_json(tmp_path / "zeros.json")["tol"] == 0.001
+    lines = (tmp_path / "zeros.txt").read_text(encoding="ascii").strip().split("\n")
+    gammas = [float(l.split()[1]) for l in lines if not l.startswith("#")]
+    assert len(gammas) == 6
+    for n, got in enumerate(gammas, start=1):
+        assert abs(got - float(mp.zetazero(n).imag)) <= 1e-3
     rc = main(["zeros", "--t_max", "5000", "--out", str(tmp_path)])
     assert rc == 2
 

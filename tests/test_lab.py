@@ -13,6 +13,7 @@ from scipy.stats import kstest
 from zetalab import lab, zeta
 from zetalab.bandlimit import selberg_interval
 from zetalab.errors import DomainError, QuadratureError
+from zetalab.selberg import prime_poly
 from zetalab.torus import make_torus_model
 from zetalab.variance import make_context
 
@@ -253,7 +254,7 @@ def test_rect_prob_from_chf_brackets_direct_count(gauss_20k):
 
 def test_time_average_matches_torus_moments(model_075_300):
     t_grid = np.linspace(0.0, 2000.0, 4096)
-    poly = lab.sample_prime_poly(0.75, 300.0, t_grid)
+    poly = prime_poly(0.75, t_grid, 300.0)
     base = lab.time_vs_torus_moments(poly, model_075_300, 0, 0)
     assert base["time_avg_re"] == 1.0 and base["torus_re"] == 1.0
     first = lab.time_vs_torus_moments(poly, model_075_300, 1, 0)
@@ -271,7 +272,7 @@ def test_time_average_matches_torus_moments(model_075_300):
 def test_sample_prime_poly_small_case():
     # x = 5: terms 2, 3, 4, 5 with coefficients log 2, log 3, log 2, log 5.
     t = np.array([0.0, 1.7])
-    got = lab.sample_prime_poly(1.0, 5.0, t)
+    got = prime_poly(1.0, t, 5.0)
     want0 = (math.log(2) / 2 + math.log(3) / 3 + math.log(2) / 4
              + math.log(5) / 5)
     assert abs(got[0] - want0) <= 1e-14

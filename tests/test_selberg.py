@@ -1,6 +1,7 @@
-"""Tests for the smoothing weight, the local threshold, the weighted
-Dirichlet polynomials (against an arbitrary-precision oracle and across the
-NUFFT/direct evaluation routes), and explicit-formula residual scans."""
+"""Tests for the smoothing weight, the local threshold, the prime-power
+Dirichlet polynomial (against an arbitrary-precision oracle and against
+direct sums over the prime-power table on both evaluation routes), and
+explicit-formula residual scans."""
 
 import math
 
@@ -10,18 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetalab._nufft import exp_sum_direct
+from zetalab._nufft import RELATIVE_ACCURACY, TAYLOR_ACCURACY, exp_sum_direct
 from zetalab.arith import prime_powers_up_to
 from zetalab.errors import CoverageError, DomainError
 from zetalab.selberg import (
     ScanResult,
     SelbergWeightSpec,
     _is_equispaced,
-    _weighted_poly_grid,
     convergent_tail_bound,
-    dirichlet_poly_plain,
-    dirichlet_poly_weighted,
     explicit_formula_scan,
+    prime_poly,
     scan_csv_text,
     sigma_xt,
     weight_branch_gaps,
@@ -29,6 +28,14 @@ from zetalab.selberg import (
     write_scan_csv,
 )
 from zetalab.zeta import find_zero_ordinates, make_zero_list
+
+
+def _table_sum(sigma, x, t, weighted):
+    """Direct sum over the materialized prime-power table (to x^3 if weighted)."""
+    table = prime_powers_up_to(x**3 if weighted else x)
+    v = table.value.astype(np.float64)
+    amp = weight_w(v, SelbergWeightSpec(x=x)) if weighted else 1.0
+    return exp_sum_direct(np.log(v), amp * table.log_prime * v**-sigma, t)
 
 
 def _weight_oracle(n, x):
@@ -157,6 +164,12 @@ def test_sigma_xt_gates():
         sigma_xt(1.5, 10.0, zeros)
     with pytest.raises(DomainError):
         sigma_xt(1000.0, -3.0, zeros)
+    # Arrays are gated as a whole.
+    with pytest.raises(DomainError):
+        sigma_xt(1000.0, np.array([5.0, 0.0, 10.0]), zeros)
+    wide = make_zero_list([(0.8, 50.0)], coverage=250.0)
+    with pytest.raises(CoverageError):
+        sigma_xt(1000.0, np.array([5.0, 150.0, 180.0]), wide)
 
 
 def test_threshold_exceedance_measure_matches_window_geometry():
@@ -173,9 +186,11 @@ def test_threshold_exceedance_measure_matches_window_geometry():
     zeros = make_zero_list(pairs, coverage=2100.0)
     win = x ** 0.9 / L
     t_grid = np.arange(1000.0, 2000.0 + 1e-9, 0.25)
-    exceed = np.array(
-        [sigma_xt(x, float(t), zeros) > floor + 1e-12 for t in t_grid]
-    )
+    pointwise = np.array([sigma_xt(x, float(t), zeros) for t in t_grid])
+    assert type(sigma_xt(x, 1500.0, zeros)) is float
+    # The array call gives the scalar calls' thresholds bit for bit.
+    assert np.array_equal(sigma_xt(x, t_grid, zeros), pointwise)
+    exceed = pointwise > floor + 1e-12
     measured = np.count_nonzero(exceed) * 0.25
     expected = (997.0 + win) - 1000.0  # window clipped to the range
     assert abs(measured - expected) <= 0.5
@@ -185,8 +200,7 @@ def test_threshold_exceedance_measure_matches_window_geometry():
 def test_weighted_poly_matches_mp_oracle():
     x = 30.0
     s = 1.5 + 7.0j
-    spec = SelbergWeightSpec(x=x)
-    got = dirichlet_poly_weighted(s, spec)
+    got = prime_poly(s.real, s.imag, x, weighted=True)
 
     with mp.workdps(30):
         acc = mp.mpc(0)
@@ -211,34 +225,28 @@ def test_plain_poly_small_cases():
         + math.log(5) / 25
         + math.log(7) / 49
     )
-    got = dirichlet_poly_plain(s, 10.0)
+    got = prime_poly(s.real, s.imag, 10.0)
     assert abs(got - want) <= 1e-14
-    assert dirichlet_poly_plain(s, 1.5) == 0.0
+    assert prime_poly(s.real, s.imag, 1.5) == 0.0
 
 
 def test_grid_poly_nufft_route_matches_scalar_route():
     # Equispaced grids take the NUFFT path over streamed sieve segments;
-    # the scalar evaluator materializes the table. Independent code paths.
+    # the reference sums the materialized table directly.
     sigma, x = 1.2, 50.0
-    spec = SelbergWeightSpec(x=x)
     t = np.linspace(10.0, 20.0, 64)
-    grid = _weighted_poly_grid(sigma, x, t)
-    scalar = np.array(
-        [dirichlet_poly_weighted(complex(sigma, tt), spec) for tt in t]
-    )
-    assert np.max(np.abs(grid - scalar)) <= 1e-8
+    grid = prime_poly(sigma, t, x, weighted=True)
+    direct = _table_sum(sigma, x, t, weighted=True)
+    assert np.max(np.abs(grid - direct)) <= 1e-8
 
 
 def test_grid_poly_direct_route_matches_scalar_route():
     # Short non-equispaced grids fall back to direct summation.
     sigma, x = 1.2, 50.0
-    spec = SelbergWeightSpec(x=x)
     t = np.array([3.0, 4.5, 7.1, 12.9, 13.0, 29.7])
-    grid = _weighted_poly_grid(sigma, x, t)
-    scalar = np.array(
-        [dirichlet_poly_weighted(complex(sigma, tt), spec) for tt in t]
-    )
-    assert np.max(np.abs(grid - scalar)) <= 1e-11
+    grid = prime_poly(sigma, t, x, weighted=True)
+    direct = _table_sum(sigma, x, t, weighted=True)
+    assert np.max(np.abs(grid - direct)) <= 1e-11
 
 
 def test_grid_poly_drifted_grid_takes_direct_route():
@@ -249,13 +257,17 @@ def test_grid_poly_drifted_grid_takes_direct_route():
     steps[1:] *= 1.0 + 9e-10
     t = np.concatenate([[50.0], 50.0 + np.cumsum(steps)])
     assert not _is_equispaced(t)
-    table = prime_powers_up_to(x**3)
-    v = table.value.astype(np.float64)
-    coeff = weight_w(v, SelbergWeightSpec(x=x)) * table.log_prime * v**-sigma
-    want = exp_sum_direct(np.log(v), coeff, t)
-    assert np.max(np.abs(_weighted_poly_grid(sigma, x, t) - want)) <= 1e-12
+    want = _table_sum(sigma, x, t, weighted=True)
+    assert np.max(np.abs(prime_poly(sigma, t, x, weighted=True) - want)) <= 1e-12
+    # The plain sum to x = 300 takes the same two routes.
+    want = _table_sum(sigma, 300.0, t, weighted=False)
+    assert np.max(np.abs(prime_poly(sigma, t, 300.0) - want)) <= 1e-12
+    grid = np.linspace(0.0, 2000.0, 4096)
+    sum_abs = _table_sum(sigma, 300.0, np.zeros(1), False)[0].real  # every c > 0
+    err = np.max(np.abs(prime_poly(sigma, grid, 300.0) - _table_sum(sigma, 300.0, grid, False)))
+    assert err <= (RELATIVE_ACCURACY + TAYLOR_ACCURACY) * sum_abs
     for a, b, n in ((50.0, 300.0, 1000), (50.0, 1e5, 1500), (1e4, 1e4 + 300.0, 1000),
-                    (50.0, 1000.0, 1000), (50.0, 4e5, 20000)):
+                    (50.0, 1000.0, 1000), (50.0, 4e5, 20000), (0.0, 2000.0, 4096)):
         assert _is_equispaced(np.linspace(a, b, n))
 
 
