@@ -42,7 +42,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import polygamma, sici
 
 from .errors import DomainError, QuadratureError
 
@@ -55,6 +54,7 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_NODES)
 
 def _excess_over_one(y: np.ndarray) -> np.ndarray:
     """B(y) - 1 for y >= 0.  Positive, bounded by sinc(y)^2."""
+    from scipy.special import polygamma  # only B and the tail bounds load scipy
     s = np.sinc(y)
     return 2.0 * s * s * (y - y * y * polygamma(1, 1.0 + y))
 
@@ -87,6 +87,7 @@ def _sinc_sq_tail(y_lo) -> float:
     y_lo = float(y_lo)
     if y_lo <= 0.0:
         raise DomainError("tail integral defined for positive lower limit")
+    from scipy.special import sici
     z = 2.0 * math.pi * y_lo
     si, _ = sici(z)
     return ((1.0 - math.cos(z)) / y_lo + 2.0 * math.pi * (0.5 * math.pi - si)) / (2.0 * math.pi ** 2)

@@ -15,7 +15,6 @@ construction.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -148,6 +147,8 @@ def sample_line(context: VarianceContext, t_lo: float = 50.0,
         chunks = [t[i:i + _WORKER_CHUNK] for i in range(0, t.size, _WORKER_CHUNK)] or [t]
         args = ([context.sigma] * len(chunks), chunks, [tol] * len(chunks))
         if workers > 1 and len(chunks) > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=int(workers)) as pool:
                 results = list(pool.map(zeta.log_deriv_band, *args))
         else:

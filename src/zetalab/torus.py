@@ -18,12 +18,20 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-import scipy.special as sp
 
 from .arith import TABLE_CAP_DEFAULT, prime_powers_up_to
 from .errors import CapacityError, DomainError, QuadratureError
 
 _MC_BLOCK = 4096
+_J0_SERIES_MAX = 2.0
+_J0_HANKEL_MIN = 25.0
+# J0(x) = sum_k _J0_COEFF[k] x^(2k), (-1/4)^k / (k!)^2; below 2^-56 at x = 2 from k = 12.
+_J0_COEFF = np.array([(-0.25) ** k / math.factorial(k) ** 2 for k in range(13)])
+# Midpoint nodes sin(th_j) on [0, pi]; 2 (x/2)^2K / (2K)! < 2^-56 at x = 25 from K = 31.
+_J0_NODES = np.sin((np.arange(31) + 0.5) * (math.pi / 31))
+# Hankel's |a_k(0)| = 1^2 3^2 ... (2k-1)^2 / (k! 8^k), highest k first for np.polyval
+# (the sign (-1)^k goes into -i/x); a_k / x^k < 2^-56 at x = 25 from k = 19.
+_J0_HANKEL = np.cumprod([1.0] + [(2 * k - 1) ** 2 / (8.0 * k) for k in range(1, 19)])[::-1]
 
 
 @dataclass(frozen=True)
@@ -163,6 +171,39 @@ def torus_moment_exact(
     return complex(_match(_coeff_maps(model, max(m, k), max_keys), m, k), 0.0)
 
 
+def _j0(x: np.ndarray) -> np.ndarray:
+    """Bessel J0 at x >= 0, with J0(inf) = 0, at a bounded cost per argument.
+
+    Up to _J0_SERIES_MAX: the Maclaurin series in x^2, cut where its terms
+    fall below 2^-56 at the largest such x. Up to _J0_HANKEL_MIN: the midpoint
+    rule on the K = 31 _J0_NODES for (1/pi) int_0^pi cos(x sin th) dth, whose
+    error is about 2|J_2K(x)| <= 2 (x/2)^2K / (2K)! (Trefethen & Weideman,
+    SIAM Review 56 (2014)). Beyond: Hankel's expansion sqrt(2/(pi x))
+    Re(e^{i(x - pi/4)} sum_k a_k(0) (i/x)^k), whose error is below its first
+    omitted term (DLMF 10.17.iii).
+    """
+    small = x <= _J0_SERIES_MAX
+    if not small.all():
+        out = np.empty_like(x)
+        out[small] = _j0(x[small])
+        big = x > _J0_HANKEL_MIN
+        mid = ~(small | big)
+        out[mid] = np.cos(np.multiply.outer(x[mid], _J0_NODES)).mean(axis=-1)
+        z = x[big]
+        with np.errstate(invalid="ignore"):  # e^{iz} is nan at z = inf
+            hankel = np.real(np.exp(1j * z) * (1 - 1j) * np.polyval(_J0_HANKEL, -1j / z))
+        out[big] = np.where(z < np.inf, hankel / np.sqrt(np.pi * z), 0.0)
+        return out
+    x2 = x * x
+    n = int(np.count_nonzero(np.abs(_J0_COEFF) * np.max(x2, initial=0.0) ** np.arange(13)
+                             >= 2.0**-56))
+    out = np.full_like(x2, _J0_COEFF[n - 1])
+    for c in _J0_COEFF[:n - 1][::-1]:
+        out *= x2
+        out += c
+    return out
+
+
 def chf_product(
     model: TorusModel, u: float, v: float, quad_points: int = 64
 ) -> complex:
@@ -171,10 +212,11 @@ def chf_product(
     Independence of the theta_p factorizes the expectation over primes. A
     prime with a single term c e(theta) (every p > sqrt(x)) contributes the
     closed form J0(2 pi c r), r = sqrt(u^2 + v^2), by the Jacobi-Anger
-    expansion. Each prime with several terms contributes a periodic integral
-    evaluated by the midpoint rule (spectrally accurate here), with global
-    point-doubling until successive values of the whole product agree below
-    1e-12.
+    expansion, evaluated by _j0 (Maclaurin series, the midpoint rule past
+    x = 2, Hankel's expansion past x = 25). Each prime with several terms
+    contributes a periodic integral evaluated by the midpoint rule
+    (spectrally accurate here), with global point-doubling until successive
+    values of the whole product agree below 1e-12.
     """
     if quad_points < 64:
         raise DomainError(f"quad_points must be >= 64, got {quad_points}")
@@ -183,7 +225,7 @@ def chf_product(
     counts = np.bincount(model.term_prime_index, minlength=model.n_primes())
     single = counts[model.term_prime_index] == 1
     bessel = float(np.prod(
-        sp.j0(2.0 * math.pi * math.hypot(u, v) * model.term_coeff[single])
+        _j0(2.0 * math.pi * math.hypot(u, v) * model.term_coeff[single])
     ))
     # Terms of the primes with several terms as a padded matrix:
     # coeff_mat[g, j] is the (j+1)-th power coefficient of prime g.

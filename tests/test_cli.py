@@ -388,6 +388,29 @@ def test_console_entry_point(tmp_path):
         assert name in helped.stdout
 
 
+_IMPORT_GUARD = """
+import sys
+import zetalab.cli
+heavy = ("scipy", "multiprocessing")
+assert not [m for m in heavy if m in sys.modules], [m for m in heavy if m in sys.modules]
+for i, argv in enumerate([
+        ["dist", "--T", "1000", "--sigma", "2", "--t_lo", "50", "--t_hi", "300", "--count", "300"],
+        ["scan", "--sigma", "2", "--x", "100", "--t_lo", "30", "--t_hi", "60", "--n_t", "16"],
+        ["zeros", "--t_max", "30"],
+        ["chf", "--sigma", "0.9", "--x", "30", "--method", "product", "--n_axis", "3"]]):
+    assert zetalab.cli.main(argv + ["--out", f"run{i}"]) == 0, argv
+assert "scipy" not in sys.modules
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # scipy is loaded only by `bs` and band-limit verification; importing the
+    # CLI and running the other commands must not pull it (or a process pool) in.
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD], capture_output=True,
+                          text=True, cwd=tmp_path, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("demo, marker, count", [
     ("torus_gaussian_limit.py", "x = ", 3),
     ("bandlimit_gallery.py", "passed: True", 1),

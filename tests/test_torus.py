@@ -3,12 +3,16 @@ brute-force product-quadrature oracle, the product-form characteristic
 function against both Monte Carlo and the truncated moment expansion, and
 the moment bound reports."""
 
+import dataclasses
 import math
+import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import j0
 
+from zetalab import torus
 from zetalab.errors import CapacityError, DomainError, QuadratureError
 from zetalab.torus import (
     chf_by_moments,
@@ -133,6 +137,55 @@ def test_chf_product_matches_midpoint_oracle():
             oracle = _chf_midpoint_every_prime(model, u, v, 128)
             assert abs(oracle - _chf_midpoint_every_prime(model, u, v, 256)) <= 1e-14
             assert abs(chf_product(model, u, v) - oracle) <= 1e-12, (u, v)
+
+
+def test_j0_against_mpmath():
+    lo, hi = torus._J0_SERIES_MAX, torus._J0_HANKEL_MIN
+    small = np.array([0.0, 1e-8, 0.3, 0.524, 1.0, np.nextafter(lo, 0.0), lo])
+    edges = [np.nextafter(lo, 3.0), np.nextafter(hi, 0.0), hi, np.nextafter(hi, 30.0)]
+    x = np.concatenate([small, edges, np.linspace(0.0, 300.0, 601),
+                        np.random.default_rng(3).uniform(0.0, 300.0, 200), [1e3, 1e5, 1e8]])
+    # A batch cuts its series by its largest argument, so the series-only
+    # batch and the mixed one are checked apart.
+    with mp.workdps(30):
+        for batch in (small, x):
+            for xi, got in zip(batch, torus._j0(batch)):
+                assert abs(mp.mpf(float(got)) - mp.besselj(0, xi)) <= 4e-16 + 2e-16 * xi, xi
+    assert torus._j0(np.array([0.5, 1e300, np.inf]))[2] == 0.0
+
+
+def test_chf_product_bessel_product_against_mpmath():
+    # The 9,527 single-term primes of the model at (0.52, 1e5): chf_product is
+    # then their product of J0 factors alone, here at the radii r = 1/3 and 1.
+    full = make_torus_model(0.52, 1e5)
+    counts = np.bincount(full.term_prime_index)
+    single = counts[full.term_prime_index] == 1
+    model = dataclasses.replace(
+        full, primes=full.primes[counts == 1], term_value=full.term_value[single],
+        term_prime_index=np.arange(int(single.sum())),
+        term_exponent=full.term_exponent[single], term_coeff=full.term_coeff[single])
+    assert len(model) == model.n_primes() == 9527
+    with mp.workdps(30):
+        for r in (1.0 / 3.0, 1.0):
+            args = 2.0 * math.pi * r * model.term_coeff
+            want = mp.fprod(mp.besselj(0, mp.mpf(float(a))) for a in args)
+            got = chf_product(model, r, 0.0)
+            assert got.imag == 0.0
+            assert abs(mp.mpf(got.real) - want) <= 1e-14 * abs(want), r
+
+
+def test_chf_product_cost_is_bounded_at_huge_radius():
+    # J0 costs O(1) per argument at any radius. The product underflows to 0
+    # at r = 1e4 and 1e300; at u = 1e308, 2 pi r overflows and the quadrature
+    # of the primes with several terms cannot settle.
+    model = make_torus_model(0.52, 1e5)
+    start = time.perf_counter()
+    for u, v in [(1e4, 0.0), (1e300, 0.0), (1e300, 1e300)]:
+        assert chf_product(model, u, v) == 0.0
+    for u, v in [(1e308, 0.0), (1e308, 1e308)]:
+        with pytest.raises(QuadratureError), np.errstate(all="ignore"):
+            chf_product(model, u, v)
+    assert time.perf_counter() - start < 20.0
 
 
 def test_chf_product_single_term_closed_form():

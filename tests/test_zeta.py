@@ -5,6 +5,7 @@ imports it) either live on small grids or as pinned 40-digit constants.
 """
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -201,6 +202,26 @@ def test_theta_riemann_siegel_pinned():
     grid = zt.theta_riemann_siegel(np.array([10.0, 20.0, 30.0]))
     assert grid.shape == (3,)
     assert abs(grid[1] - 1.1868948084444840448) <= 1e-12
+
+
+def test_theta_riemann_siegel_against_mpmath():
+    t = np.array([0.0, 0.5, -0.5, 1.0, 5.0, 14.134725, 19.9, 20.0, 100.0, 305.73,
+                  1e4, 1e5, 1e6])
+    # One shift count per call is set by min |t|, so the whole array (shifted
+    # as for t = 0) and each point alone take different paths.
+    for got, u in zip(zt.theta_riemann_siegel(t), t):
+        for value in (got, zt.theta_riemann_siegel(float(u))):
+            want = mp.siegeltheta(float(u))
+            bound = 4.0 * np.spacing(abs(float(want))) + 2e-15
+            assert abs(mp.mpf(float(value)) - want) <= bound, u
+
+
+def test_hardy_z_and_theta_reject_bad_t():
+    for bad, word in [(math.nan, "nan"), (math.inf, "inf"), (np.array([20.0, -math.inf]), "-inf"),
+                      (np.array([[20.0, 30.0]]), "shape (1, 2)")]:
+        for f in (zt.hardy_z, zt.theta_riemann_siegel):
+            with pytest.raises(DomainError, match=re.escape(word)):
+                f(bad)
 
 
 def test_hardy_z_real_and_pinned():
