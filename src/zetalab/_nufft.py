@@ -27,7 +27,8 @@ import math
 
 import numpy as np
 
-RELATIVE_ACCURACY = 3e-13
+RELATIVE_ACCURACY = 3e-13  # measured at these two only:
+_RATIO, _SPREAD = 2, 14  # grid oversampling, Gaussian half-width in grid cells
 _TWO_PI_LO = 2.4492935982947064e-16  # 2 pi - float(2 pi)
 _CELL = 0.2  # cell width times n_out
 _ORDERS = 9  # Taylor orders 0..8 per cell
@@ -37,14 +38,14 @@ TAYLOR_ACCURACY = math.exp(0.1) * 0.1**_ORDERS / math.factorial(_ORDERS)
 class NufftSum:
     """Streaming accumulator for sum_k c_k exp(-i j phi_k)."""
 
-    def __init__(self, n_out: int, ratio: int = 2, spread: int = 14, shape: tuple = ()):
+    def __init__(self, n_out: int, shape: tuple = ()):
         if n_out < 1:
             raise ValueError("n_out must be positive")
         self.n_out = int(n_out)
         M = 2 * self.n_out
-        self.Mr = ratio * M
-        self.spread = spread
-        self.tau = math.pi * spread / (M * M * ratio * (ratio - 0.5))
+        self.Mr = _RATIO * M
+        self.spread = _SPREAD
+        self.tau = math.pi * _SPREAD / (M * M * _RATIO * (_RATIO - 0.5))
         self.h = 2.0 * math.pi / self.Mr
         # h = h_hi + h_lo to double-double; n * h_hi is exact for |n| < 2**29.
         self._h_hi = float(np.float32(self.h))
@@ -116,17 +117,19 @@ class NufftSum:
 
 
 def exp_sum_direct(omega: np.ndarray, c: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Direct evaluation of sum_k c_k exp(-i t_j omega_k), chunked.
-
-    The slow exact reference for NufftSum, and the general-grid fallback.
+    """Direct sum_k c_k exp(-i t_j omega_k), chunked, for weights c (*shape, K)
+    as NufftSum.add takes them; returns (*shape, len(t)). Rows of c share cos
+    and sin, and real rows stay real. The exact reference for NufftSum, the
+    general-grid fallback, and the main sums of zeta's Euler-Maclaurin engine.
     """
     omega = np.asarray(omega, dtype=np.float64)
-    c = np.asarray(c, dtype=np.complex128)
+    c = np.asarray(c, dtype=np.complex128 if np.iscomplexobj(c) else np.float64)
     t = np.asarray(t, dtype=np.float64)
-    out = np.zeros(t.shape[0], dtype=np.complex128)
+    out = np.zeros(c.shape[:-1] + t.shape, dtype=np.complex128)
     step = max(1, 4_000_000 // max(1, t.shape[0]))
     for lo in range(0, omega.shape[0], step):
-        hi = min(lo + step, omega.shape[0])
-        ph = np.outer(t, omega[lo:hi])
-        out += np.cos(ph) @ c[lo:hi] - 1j * (np.sin(ph) @ c[lo:hi])
+        ph, ck = np.outer(t, omega[lo:lo + step]), c[..., lo:lo + step]
+        cs, sn = np.cos(ph), np.sin(ph)
+        for r in np.ndindex(ck.shape[:-1]):
+            out[r] += cs @ ck[r] - 1j * (sn @ ck[r])
     return out

@@ -46,6 +46,9 @@ import numpy as np
 from .errors import DomainError, QuadratureError
 
 _GL_NODES = 16
+# verify_bandlimit: |F_hat| beyond delta (1 + _MARGIN) must stay below
+# _BANDLIMIT_TOL * scale, and everywhere below _EVERYWHERE_CONST * scale.
+_MARGIN, _BANDLIMIT_TOL, _EVERYWHERE_CONST = 0.05, 1e-4, 2.0
 
 # Nodes and weights for the fixed-order Gauss-Legendre panel rule,
 # computed once on [-1, 1].
@@ -278,15 +281,13 @@ def fourier_transform(F: BandlimitedFunction, xi, window: float | None = None):
     return out, float(tail_bound)
 
 
-def verify_bandlimit(F: BandlimitedFunction, xi_grid=None, window: float | None = None,
-                     margin: float = 0.05, bandlimit_tol: float = 1e-4,
-                     everywhere_const: float = 2.0) -> dict:
+def verify_bandlimit(F: BandlimitedFunction, window: float | None = None) -> dict:
     """Numerical certificate that F is band-limited to [-delta, delta].
 
     Evaluates the windowed Fourier transform on a frequency grid and
     reports: the zero-frequency value against its closed form
     (b - a) +/- 1/delta (tail-corrected, so the comparison is sharp),
-    the largest |F_hat| beyond delta*(1+margin), the global bound
+    the largest |F_hat| beyond delta*(1+_MARGIN), the global bound
     |F_hat| <= C*((b-a) + 1/delta), conjugate symmetry, and the largest
     deviation from the closed form `F.hat`, which the discarded tails
     bound by tail_bound.  Soft
@@ -295,14 +296,10 @@ def verify_bandlimit(F: BandlimitedFunction, xi_grid=None, window: float | None 
     """
     d = F.delta
     W = float(window) if window is not None else 1e3 / d
-    if xi_grid is None:
-        in_band = np.linspace(-d, d, 41)
-        out_band = np.linspace((1.0 + margin) * d, 2.5 * d, 24)
-        edge = d * np.array([0.98, 1.0, 1.02])
-        xi_grid = np.unique(np.concatenate(
-            [[0.0], in_band, out_band, -out_band, edge, -edge]))
-    else:
-        xi_grid = np.unique(np.atleast_1d(np.asarray(xi_grid, dtype=float)))
+    in_band = np.linspace(-d, d, 41)
+    out_band = np.linspace((1.0 + _MARGIN) * d, 2.5 * d, 24)
+    edge = d * np.array([0.98, 1.0, 1.02])
+    xi_grid = np.unique(np.concatenate([[0.0], in_band, out_band, -out_band, edge, -edge]))
 
     vals, tail_bound = fourier_transform(F, xi_grid, window=W)
     closed_form_dev = float(np.max(np.abs(vals - F.hat(xi_grid))))
@@ -318,7 +315,7 @@ def verify_bandlimit(F: BandlimitedFunction, xi_grid=None, window: float | None 
     f_hat0 = f_hat0_raw.real + _analytic_tail(F, x_lo, x_hi)
     expected0 = F.exact_integral()
 
-    out_mask = np.abs(xi_grid) >= (1.0 + margin) * d - 1e-12 * d
+    out_mask = np.abs(xi_grid) >= (1.0 + _MARGIN) * d - 1e-12 * d
     max_out = float(np.max(np.abs(vals[out_mask]))) if np.any(out_mask) else 0.0
     max_everywhere = float(np.max(np.abs(vals)))
 
@@ -343,14 +340,14 @@ def verify_bandlimit(F: BandlimitedFunction, xi_grid=None, window: float | None 
         "expected_f_hat0": float(expected0),
         "f_hat0_abs_error": float(abs(f_hat0 - expected0)),
         "max_out_of_band_abs": max_out,
-        "out_of_band_threshold": float(bandlimit_tol * scale),
+        "out_of_band_threshold": float(_BANDLIMIT_TOL * scale),
         "max_abs_everywhere": max_everywhere,
-        "everywhere_threshold": float(everywhere_const * scale),
+        "everywhere_threshold": float(_EVERYWHERE_CONST * scale),
         "conj_symmetry_max_dev": conj_dev,
         "closed_form_max_dev": closed_form_dev,
         "tail_bound": tail_bound,
-        "margin": margin,
-        "bandlimit_tol": bandlimit_tol,
+        "margin": _MARGIN,
+        "bandlimit_tol": _BANDLIMIT_TOL,
     }
     report["f_hat0_ok"] = report["f_hat0_abs_error"] <= 1e-5 + 2.0 * tail_bound
     report["out_of_band_ok"] = max_out <= report["out_of_band_threshold"]
@@ -361,11 +358,10 @@ def verify_bandlimit(F: BandlimitedFunction, xi_grid=None, window: float | None 
     return report
 
 
-def domination_report(F: BandlimitedFunction, n_grid: int = 10_000,
-                      span: float | None = None) -> dict:
+def domination_report(F: BandlimitedFunction, n_grid: int = 10_000) -> dict:
     """Pointwise domination check of F against the indicator on a grid.
 
-    The grid spans [a - span, b + span] (default span 5/delta).  For a
+    The grid spans [a - 5/delta, b + 5/delta].  For a
     majorant the slack is F - 1_[a,b]; for a minorant, 1_[a,b] - F.  A
     correct construction keeps the minimum slack above float rounding
     (>= -1e-12 scale).  Also reports the measured constant in the
@@ -373,8 +369,7 @@ def domination_report(F: BandlimitedFunction, n_grid: int = 10_000,
     dominates the slack.
     """
     d = F.delta
-    s = float(span) if span is not None else 5.0 / d
-    grid = np.linspace(F.a - s, F.b + s, int(n_grid))
+    grid = np.linspace(F.a - 5.0 / d, F.b + 5.0 / d, int(n_grid))
     sign = 1.0 if F.kind == "majorant" else -1.0
     slack = sign * (F(grid) - F.indicator(grid))
     envelope = np.sinc(d * (grid - F.a)) ** 2 + np.sinc(d * (grid - F.b)) ** 2

@@ -19,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .arith import TABLE_CAP_DEFAULT, prime_powers_up_to
+from .arith import prime_powers_up_to
 from .errors import CapacityError, DomainError, QuadratureError
 
 _MC_BLOCK = 4096
@@ -66,7 +66,6 @@ def make_torus_model(
     sigma: float,
     x: float,
     V: float | None = None,
-    cap: int = TABLE_CAP_DEFAULT,
 ) -> TorusModel:
     """Build the model at (sigma, x); V defaults to the model's own variance.
 
@@ -78,7 +77,7 @@ def make_torus_model(
     """
     if sigma <= 0.5:
         raise DomainError(f"model requires sigma > 1/2, got {sigma:g}")
-    table = prime_powers_up_to(x, cap=cap)
+    table = prime_powers_up_to(x)
     if V is None:
         V = 0.5 * math.fsum(
             (table.log_prime**2 * table.value.astype(np.float64) ** (-2.0 * sigma)).tolist()
@@ -216,7 +215,8 @@ def chf_product(
     x = 2, Hankel's expansion past x = 25). Each prime with several terms
     contributes a periodic integral evaluated by the midpoint rule
     (spectrally accurate here), with global point-doubling until successive
-    values of the whole product agree below 1e-12.
+    values of the whole product agree below 1e-12; a product that is not
+    finite raises QuadratureError at once.
     """
     if quad_points < 64:
         raise DomainError(f"quad_points must be >= 64, got {quad_points}")
@@ -242,7 +242,10 @@ def chf_product(
         )
         z = coeff_mat @ phases
         integrand = np.exp(2j * math.pi * (u * z.real + v * z.imag))
-        return bessel * complex(np.prod(integrand.mean(axis=1)))
+        out = bessel * complex(np.prod(integrand.mean(axis=1)))
+        if not np.isfinite(out):  # no doubling can mend it
+            raise QuadratureError(f"chf_product is not finite at K = {K}, (u, v) = ({u:g}, {v:g})")
+        return out
 
     K = int(quad_points)
     prev = product_at(K)

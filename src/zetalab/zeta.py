@@ -7,16 +7,16 @@ The engine is Euler-Maclaurin summation
               + sum_{k=1..5} B_{2k}/(2k)! * (s)(s+1)...(s+2k-2) * N^{-s-2k+1}
               + remainder,
 
-differentiated analytically for zeta' and zeta''. The truncation point N is
-adaptive in |t| and the requested tolerance; every value is accepted only
-when two successive N agree within tol/2 and the first-neglected-term
-remainder estimate is below tol/2. For zeta'/zeta along a line, a band
-path evaluates sorted t-blocks at a shared N with a per-point remainder
-certificate, and a grid path evaluates a whole equispaced grid at one N,
-its main sums computed for all points at once by one NUFFT pass, which is
-what makes 1e4-sample line experiments cost a fraction of a second. Hardy Z
-takes the band path for one point or many, so the zero search brackets sign
-changes on a grid and refines every bracket at once, one Z call per step.
+differentiated analytically for zeta' and zeta''. _truncation picks N for
+a block of points: 1.25 max|t|, doubled while the first-neglected-term
+remainder exceeds tol/4. A scalar is a one-point block, accepted only when
+its values at N and 2N agree within tol/2 and the remainder at 2N is below
+tol/2. zeta'/zeta along a line and Hardy Z share one loop over BAND-point
+blocks, with a per-point remainder certificate; their main sums come from
+exp_sum_direct. A grid path evaluates a whole equispaced grid at one N, its
+main sums for all points at once by one NUFFT pass, which is what makes
+1e4-sample line experiments cost a fraction of a second. The zero search
+refines every sign-change bracket of Hardy Z at once, one Z call per step.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._nufft import RELATIVE_ACCURACY, NufftSum
+from ._nufft import RELATIVE_ACCURACY, NufftSum, exp_sum_direct
 from .errors import (
     CoverageError,
     DomainError,
@@ -54,7 +54,7 @@ _EM_NEXT_COEFF = (691.0 / 2730.0) / 479001600.0
 _NEAR_ZERO_GUARD = 1e-10
 _CHUNK = 16384
 _GRID_CHUNK = 1 << 17
-BAND = 256  # points per shared truncation in log_deriv_band
+BAND = 256  # points per shared truncation in log_deriv_band and hardy_z
 
 
 def _check_tol(tol: float) -> float:
@@ -89,25 +89,12 @@ def _em_eval(sigma: float, t: np.ndarray, N: int, n_derivs: int):
     first-neglected-term magnitude estimates.
     """
     t = np.asarray(t, dtype=np.float64)
-    n_pts = t.shape[0]
-    S = [np.zeros(n_pts, dtype=np.complex128) for _ in range(n_derivs + 1)]
-
+    S = np.zeros((n_derivs + 1, t.shape[0]), dtype=np.complex128)
     for lo in range(1, N, _CHUNK):
-        hi = min(lo + _CHUNK, N)
-        n = np.arange(lo, hi, dtype=np.float64)
-        ln = np.log(n)
-        w = np.exp(-sigma * ln)
-        ph = np.outer(t, ln)
-        c = np.cos(ph)
-        sn = np.sin(ph)
-        weights = [w]
-        if n_derivs >= 1:
-            weights.append(w * ln)
-        if n_derivs >= 2:
-            weights.append(w * ln * ln)
-        for d, wd in enumerate(weights):
-            S[d] += c @ wd - 1j * (sn @ wd)
-    return _em_tail(sigma, t, N, S)
+        ln = np.log(np.arange(lo, min(lo + _CHUNK, N), dtype=np.float64))
+        # Rows n^-sigma log^d n, d <= n_derivs, each one factor log n more.
+        S += exp_sum_direct(ln, np.multiply.accumulate([np.exp(-sigma * ln)] + [ln] * n_derivs), t)
+    return _em_tail(sigma, t, N, list(S))
 
 
 def _em_tail(sigma: float, t: np.ndarray, N: int, S: list):
@@ -164,66 +151,66 @@ def _truncation(sigma: float, t: np.ndarray, tol: float, n_derivs: int):
             return N << k, rems
 
 
-def _validate_point(sigma: float, t: float):
-    if abs(t) > HEIGHT_CAP:
-        raise PrecisionError(
-            f"|t| = {abs(t):g} exceeds the engine height cap {HEIGHT_CAP:g}"
-        )
+def _em_point(sigma: float, t: float, tol: float, n_derivs: int):
+    """[zeta, ...derivatives] at sigma + it as a one-point band: _em_eval at
+    _truncation's N and at 2N, the 2N values returned when the two agree
+    within tol/2 and every remainder at 2N is at most tol/2."""
     if sigma <= -4.0:
         raise DomainError(f"sigma = {sigma:g} is below the supported range (> -4)")
     if abs(sigma - 1.0) < 1e-12 and abs(t) < 1e-12:
         raise PoleError("zeta has a pole at s = 1")
-
-
-def _em_adaptive(sigma: float, t: float, tol: float, n_derivs: int):
-    """Scalar adaptive evaluation; returns the list [zeta, ...derivatives]."""
-    _validate_point(sigma, t)
-    N = max(16, int(2.0 * abs(t)) + 1)
     tv = np.array([t], dtype=np.float64)
-    prev, _ = _em_eval(sigma, tv, N, n_derivs)
-    for _ in range(8):
-        N *= 2
-        vals, rems = _em_eval(sigma, tv, N, n_derivs)
-        agree = all(
-            abs(v[0] - p[0]) <= 0.5 * tol for v, p in zip(vals, prev)
-        )
-        certified = all(r[0] <= 0.5 * tol for r in rems)
-        if agree and certified:
-            return [complex(v[0]) for v in vals]
-        prev = vals
+    N = _truncation(sigma, tv, tol, n_derivs)[0]
+    prev = _em_eval(sigma, tv, N, n_derivs)[0]
+    vals, rems = _em_eval(sigma, tv, 2 * N, n_derivs)
+    if all(abs(v[0] - p[0]) <= 0.5 * tol and r[0] <= 0.5 * tol
+           for v, p, r in zip(vals, prev, rems)):
+        return [complex(v[0]) for v in vals]
     raise PrecisionError(
         f"tolerance {tol:g} not certified at s = {sigma:g}{t:+g}j (N = {N})"
     )
+
+
+def _em_bands(sigma: float, t: np.ndarray, tol: float, n_derivs: int):
+    """(values, rems) of _em_eval over t, arrays (n_derivs + 1, len(t)), in
+    BAND-point blocks, each at its own _truncation N."""
+    vals = np.empty((n_derivs + 1, t.shape[0]), dtype=np.complex128)
+    rems = np.empty(vals.shape)
+    for lo in range(0, t.shape[0], BAND):
+        tb = t[lo:lo + BAND]
+        vals[:, lo:lo + BAND], rems[:, lo:lo + BAND] = _em_eval(
+            sigma, tb, _truncation(sigma, tb, tol, n_derivs)[0], n_derivs)
+    return vals, rems
 
 
 def zeta(s: complex, tol: float = 1e-12) -> complex:
     """Riemann zeta at s != 1 with absolute error <= tol."""
     tol = _check_tol(tol)
     s = complex(s)
-    return _em_adaptive(s.real, s.imag, tol, 0)[0]
+    return _em_point(s.real, s.imag, tol, 0)[0]
 
 
 def zeta_prime(s: complex, tol: float = 1e-12) -> complex:
     """First derivative of zeta, by the differentiated expansion."""
     tol = _check_tol(tol)
     s = complex(s)
-    return _em_adaptive(s.real, s.imag, tol, 1)[1]
+    return _em_point(s.real, s.imag, tol, 1)[1]
 
 
 def zeta_second(s: complex, tol: float = 1e-12) -> complex:
     """Second derivative of zeta; consumed by the variance identity."""
     tol = _check_tol(tol)
     s = complex(s)
-    return _em_adaptive(s.real, s.imag, tol, 2)[2]
+    return _em_point(s.real, s.imag, tol, 2)[2]
 
 
-def log_deriv(s: complex, tol: float = 1e-12, guard: float = _NEAR_ZERO_GUARD) -> complex:
+def log_deriv(s: complex, tol: float = 1e-12) -> complex:
     """zeta'(s)/zeta(s).
 
-    Raises NearZeroError (carrying t) when |zeta(s)| < guard, so samplers can
-    flag the point instead of keeping a huge quotient. The returned value has
-    relative error roughly (1 + |result|) * tol / |zeta(s)| by first-order
-    propagation.
+    Raises NearZeroError (carrying t) when |zeta(s)| < _NEAR_ZERO_GUARD, so
+    samplers can flag the point instead of keeping a huge quotient. The
+    returned value has relative error roughly (1 + |result|) * tol / |zeta(s)|
+    by first-order propagation.
     """
     tol = _check_tol(tol)
     s = complex(s)
@@ -232,21 +219,20 @@ def log_deriv(s: complex, tol: float = 1e-12, guard: float = _NEAR_ZERO_GUARD) -
             f"log_deriv requires Re(s) > 1/2, got {s.real:g} (zeros live at or "
             "left of the critical line)"
         )
-    num_den = _em_adaptive(s.real, s.imag, tol, 1)
-    den, num = num_den[0], num_den[1]
-    if abs(den) < guard:
+    den, num = _em_point(s.real, s.imag, tol, 1)
+    if abs(den) < _NEAR_ZERO_GUARD:
         raise NearZeroError(
-            f"|zeta| = {abs(den):.3e} below guard {guard:g} at t = {s.imag:g}",
+            f"|zeta| = {abs(den):.3e} below guard {_NEAR_ZERO_GUARD:g} at t = {s.imag:g}",
             t=s.imag,
         )
     return num / den
 
 
-def _quotient(z0, z1, errs, tol: float, guard: float):
-    """(values, flags) of z1/z0: flag 1 where |z0| < guard, else flag 2
-    where an error bound errs[d] of z_d exceeds tol/4; flagged values NaN."""
+def _quotient(z0, z1, errs, tol: float):
+    """(values, flags) of z1/z0: flag 1 where |z0| < _NEAR_ZERO_GUARD, else
+    flag 2 where an error bound errs[d] of z_d exceeds tol/4; flagged values NaN."""
     bad = (errs[0] > 0.25 * tol) | (errs[1] > 0.25 * tol)
-    small = np.abs(z0) < guard
+    small = np.abs(z0) < _NEAR_ZERO_GUARD
     values = np.where(small | bad, np.nan + 1j * np.nan, z1 / np.where(small, 1.0, z0))
     flags = np.zeros(z0.shape[0], dtype=np.uint8)
     flags[small] = 1
@@ -254,34 +240,23 @@ def _quotient(z0, z1, errs, tol: float, guard: float):
     return values, flags
 
 
-def log_deriv_band(
-    sigma: float,
-    t: np.ndarray,
-    tol: float = 1e-9,
-    guard: float = _NEAR_ZERO_GUARD,
-):
+def log_deriv_band(sigma: float, t: np.ndarray, tol: float = 1e-9):
     """Vectorized zeta'/zeta over a sorted t array at fixed sigma.
 
     Returns (values, flags) with flags 0 = ok, 1 = near_zero, 2 =
-    precision_fail. Points are processed in BAND-point bands sharing one
-    truncation N (chosen from the band maximum), so results do not depend on
-    how callers partition work at multiples of BAND. Flagged values are NaN.
+    precision_fail; an empty t gives two empty arrays. The band loop that
+    hardy_z shares evaluates BAND-point blocks, each at one truncation N
+    (chosen from the block maximum), so results do not depend on how
+    callers partition work at multiples of BAND. Flagged values are NaN.
     """
     tol = _check_tol(tol)
     if sigma <= 0.5:
         raise DomainError(f"log_deriv_band requires sigma > 1/2, got {sigma:g}")
-    t = np.asarray(t, dtype=np.float64)
-    values = np.empty(t.shape[0], dtype=np.complex128)
-    flags = np.zeros(t.shape[0], dtype=np.uint8)
-    for lo in range(0, t.shape[0], BAND):
-        tb = t[lo:lo + BAND]
-        (z0, z1), rems = _em_eval(sigma, tb, _truncation(sigma, tb, tol, 1)[0], 1)
-        values[lo:lo + BAND], flags[lo:lo + BAND] = _quotient(z0, z1, rems, tol, guard)
-    return values, flags
+    (z0, z1), rems = _em_bands(sigma, np.asarray(t, dtype=np.float64), tol, 1)
+    return _quotient(z0, z1, rems, tol)
 
 
-def log_deriv_grid(sigma: float, t: np.ndarray, tol: float = 1e-9,
-                   guard: float = _NEAR_ZERO_GUARD):
+def log_deriv_grid(sigma: float, t: np.ndarray, tol: float = 1e-9):
     """zeta'/zeta on an equispaced grid t (np.linspace output, say) in one
     NUFFT pass; returns (values, flags) as log_deriv_band does.
 
@@ -317,7 +292,7 @@ def log_deriv_grid(sigma: float, t: np.ndarray, tol: float = 1e-9,
     (z0, z1), _ = _em_tail(sigma, t, N, [S0 - 1j * delta * S1, S1 - 1j * delta * S2])
     errs = [r + RELATIVE_ACCURACY * (B[k] + np.abs(delta) * B[k + 1])
             + 0.5 * delta**2 * B[k + 2] for k, r in enumerate(rems)]
-    return _quotient(z0, z1, errs, tol, guard)
+    return _quotient(z0, z1, errs, tol)
 
 
 def _check_t(t) -> np.ndarray:
@@ -360,18 +335,16 @@ def hardy_z(t, tol: float = 1e-12):
     """Hardy Z(t) = e^{i theta(t)} zeta(1/2 + it), real on the critical line, at
     a float t (returns a float) or a 1-d array of t (returns an array).
 
-    Points share one truncation N per 512-point band. PrecisionError names the
-    first point whose Euler-Maclaurin remainder exceeds tol/4 or whose rotated
-    value keeps an imaginary residue above the tolerance budget; DomainError
+    zeta comes from the BAND-point block loop that log_deriv_band shares,
+    theta once for the whole array. PrecisionError names the first point
+    whose Euler-Maclaurin remainder exceeds tol/4 or whose rotated value
+    keeps an imaginary residue above the tolerance budget; DomainError
     names a non-finite t or an array of more than one dimension.
     """
     tol = _check_tol(tol)
     tv = np.atleast_1d(_check_t(t))
-    rot, rem = np.empty(tv.shape, dtype=np.complex128), np.empty(tv.shape)
-    for lo in range(0, tv.shape[0], 512):
-        tb = tv[lo:lo + 512]
-        N, (rem[lo:lo + 512],) = _truncation(0.5, tb, tol, 0)
-        rot[lo:lo + 512] = np.exp(1j * theta_riemann_siegel(tb)) * _em_eval(0.5, tb, N, 0)[0][0]
+    (z,), (rem,) = _em_bands(0.5, tv, tol, 0)
+    rot = np.exp(1j * theta_riemann_siegel(tv)) * z
     budget = np.maximum(tol, 1e-8 * np.maximum(1.0, np.abs(rot)))
     bad = (rem > 0.25 * tol) | (np.abs(rot.imag) > budget)
     if bad.any():

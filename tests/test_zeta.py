@@ -6,6 +6,7 @@ imports it) either live on small grids or as pinned 40-digit constants.
 
 import math
 import re
+import time
 
 import mpmath as mp
 import numpy as np
@@ -90,6 +91,27 @@ def test_pole_and_domain_errors():
         zt.zeta(complex(0.6, 2.0e7))
     with pytest.raises(DomainError):
         zt.zeta(2.0, tol=0.0)
+
+
+def test_scalar_engine_at_height_lands_within_tol_or_refuses():
+    # One comparison of N against 2N guards scalar values at height: each
+    # call is within tol of mpmath or raises PrecisionError, fast either way.
+    for t in (1e4 + 0.37, 1e5 + 0.37):
+        s = complex(0.6, t)
+        for f, d in ((zt.zeta, 0), (zt.zeta_prime, 1)):
+            want = complex(mp.zeta(mp.mpc(0.6, t), derivative=d))
+            for tol in (1e-12, 1e-9):
+                try:
+                    got = f(s, tol=tol)
+                except PrecisionError:
+                    continue
+                assert abs(got - want) <= tol
+    start = time.perf_counter()
+    with pytest.raises(PrecisionError):
+        zt.zeta_prime(complex(0.6, 1e6 + 0.37), tol=1e-9)
+    assert time.perf_counter() - start < 10.0
+    values, flags = zt.log_deriv_band(0.75, np.empty(0))
+    assert values.shape == flags.shape == (0,)
 
 
 def test_log_deriv_near_zero_guard():
