@@ -96,7 +96,7 @@ def prime_powers_up_to(x: float, cap: int = TABLE_CAP_DEFAULT) -> PrimePowerTabl
     and O(x) transient memory for the sieve mask. ``x`` must be >= 2 and at
     most ``cap`` (default 1e8) because the mask and table are materialized.
     """
-    if x < 2:
+    if not (x >= 2):
         raise DomainError(f"prime_powers_up_to requires x >= 2, got {x}")
     if x > cap:
         raise TableCapError(
@@ -145,6 +145,8 @@ def lambda_segments(
     globally increasing across segments. Memory stays O(segment_size)
     regardless of hi, which is what lets scans run out to 1e9 and beyond.
     """
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"lambda_segments requires finite bounds, got ({lo}, {hi}]")
     lo = int(math.floor(max(lo, 1)))
     hi = int(math.floor(hi))
     if hi <= lo:

@@ -184,6 +184,9 @@ def cmd_chf(p: dict, out: str, workers: int, seed: int, tol: float) -> int:
 
 
 def cmd_dist(p: dict, out: str, workers: int, seed: int, tol: float) -> int:
+    chf_r = p["chf_r"]
+    if p["chf_n"] < 1 or not (chf_r is None or (math.isfinite(chf_r) and chf_r > 0)):
+        raise ZetalabError("chf deviation grid requires chf_n >= 1 and chf_r > 0")
     ctx = _context_from(p, tol)
     sampling = {"mode": p["mode"], "count": p["count"]}
     if p["mode"] == "random":
@@ -200,8 +203,8 @@ def cmd_dist(p: dict, out: str, workers: int, seed: int, tol: float) -> int:
         lab.rectangle_report(sset, 0.0, 50.0, -50.0, 50.0),
     ]
     ks = lab.disk_cdf_sup(sset)
-    if p["chf_r"] is not None:
-        axis = np.linspace(-p["chf_r"], p["chf_r"], p["chf_n"])
+    if chf_r is not None:
+        axis = np.linspace(-chf_r, chf_r, p["chf_n"])
         chf_dev = lab.chf_deviation_grid(sset, axis, axis)
     else:
         chf_dev = lab.chf_deviation_grid(sset)

@@ -187,26 +187,54 @@ def empirical_chf(sset: LineSampleSet, u: float, v: float) -> complex:
     return complex(np.mean(np.exp(1j * phase)))
 
 
+def _cos_sin_rows(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The rows cos(2 pi a_k x) stacked above the rows sin(2 pi a_k x)."""
+    phase = (2.0 * np.pi) * np.outer(a, x)
+    out = np.empty((2 * a.size, x.size))
+    np.cos(phase, out=out[:a.size])
+    np.sin(phase, out=out[a.size:])
+    return out
+
+
 def empirical_chf_grid(sset: LineSampleSet, u_axis, v_axis,
                        chunk: int = 4096) -> np.ndarray:
     """Empirical chf on a tensor grid: out[i, j] = chf(u_i, v_j).
 
-    Factorizes e(u X + v Y) = e(u X) e(v Y) and accumulates a matrix
-    product over fixed-size sample chunks, so the cost is a pair of
-    thin matrices per chunk instead of a full 3D phase array.
+    Factorizes e(u X + v Y) = e(u X) e(v Y) and folds each axis onto its
+    distinct magnitudes: with s = sign(u), r = sign(v) and C, S the cos
+    and sin of 2 pi |u| X (and of 2 pi |v| Y),
+
+        n out = (CuCv - s r SuSv) + i (r CuSv + s SuCv),
+
+    summed over the samples.  The four real products are the blocks of
+    one real matrix product per fixed-size sample chunk, so memory stays
+    at a few thin matrices per chunk.  Per sample, each distinct |u| or
+    |v| costs one cos and one sin, and the product 4 |{|u|}| |{|v|}|
+    multiply-adds, as many as a complex product over axes without +/-
+    pairs.  An axis of exact +/- pairs (as `_axis_nodes` returns) halves
+    its trigonometry, and two such axes cut the product fourfold.
     """
     z = sset.ok_samples()
     if z.size == 0:
         raise DomainError("empirical chf of an empty sample set")
     u = np.atleast_1d(np.asarray(u_axis, dtype=float))
     v = np.atleast_1d(np.asarray(v_axis, dtype=float))
-    acc = np.zeros((u.size, v.size), dtype=complex)
+    au, iu = np.unique(np.abs(u), return_inverse=True)
+    av, iv = np.unique(np.abs(v), return_inverse=True)
+    nu, nv = au.size, av.size
+    # One real product per chunk: [Cu; Su] [Cv; Sv]^T = [[CC, CS], [SC, SS]].
+    acc = np.zeros((2 * nu, 2 * nv))
     for i in range(0, z.size, chunk):
         zc = z[i:i + chunk]
-        A = np.exp((2j * np.pi) * np.outer(u, zc.real))
-        B = np.exp((2j * np.pi) * np.outer(v, zc.imag))
-        acc += A @ B.T
-    return acc / z.size
+        acc += _cos_sin_rows(au, zc.real) @ _cos_sin_rows(av, zc.imag).T
+    CC, CS, SC, SS = acc[:nu, :nv], acc[:nu, nv:], acc[nu:, :nv], acc[nu:, nv:]
+    s = np.sign(u)[:, None]
+    r = np.sign(v)
+    pick = np.ix_(iu, iv)
+    out = np.empty((u.size, v.size), dtype=complex)
+    out.real = CC[pick] - s * r * SS[pick]
+    out.imag = r * CS[pick] + s * SC[pick]
+    return out / z.size
 
 
 def gaussian_chf(u, v):
@@ -428,10 +456,14 @@ def _axis_nodes(delta: float, rate: float, level: int):
 
     The 0.25 cap keeps smooth-but-sharp factors (a Gaussian chf decays
     on the scale 1/(2 pi)) resolved even when the nominal rate is low.
+    The nodes are made exactly antisymmetric and the weights exactly
+    symmetric (as numpy's leggauss does), so `empirical_chf_grid` can
+    fold every +/- pair.
     """
     from .bandlimit import _panel_nodes
     max_len = min(10.0 / (2.0 * np.pi * max(rate, 1e-9)), 0.25, delta / 2.0) / level
-    return _panel_nodes(-delta, delta, max_len)
+    u, w = _panel_nodes(-delta, delta, max_len)
+    return 0.5 * (u - u[::-1]), 0.5 * (w + w[::-1])
 
 
 def rect_prob_from_chf(chf, F: BandlimitedFunction, G: BandlimitedFunction,

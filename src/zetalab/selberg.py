@@ -24,13 +24,13 @@ from .zeta import ZeroList, log_deriv_band
 
 @dataclass(frozen=True)
 class SelbergWeightSpec:
-    """Weight parameters: cut point x >= 10."""
+    """Weight parameters: finite cut point x >= 10."""
 
     x: float
 
     def __post_init__(self):
-        if self.x < 10:
-            raise DomainError(f"weight requires x >= 10, got {self.x:g}")
+        if not (math.isfinite(self.x) and self.x >= 10):
+            raise DomainError(f"weight requires finite x >= 10, got {self.x:g}")
 
 
 def weight_w(n, spec: SelbergWeightSpec):
@@ -207,6 +207,9 @@ def explicit_formula_scan(
     near-zero zeta points (flag 2). The summary reports flag counts and
     quantiles of |residual|/bound over ok points.
     """
+    if not math.isfinite(sigma):
+        raise DomainError(f"sigma must be finite, got {sigma!r}")
+    SelbergWeightSpec(x=x)  # checks x before the threshold and zeta work
     t = np.asarray(t_grid, dtype=np.float64)
     if t.ndim != 1 or t.shape[0] == 0:
         raise DomainError("t_grid must be a nonempty 1-d array")

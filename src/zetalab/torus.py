@@ -75,14 +75,14 @@ def make_torus_model(
     one. Pass V explicitly (e.g. the full-series variance of a line context)
     when the model must share a normalizer with line samples.
     """
-    if sigma <= 0.5:
-        raise DomainError(f"model requires sigma > 1/2, got {sigma:g}")
+    if not (math.isfinite(sigma) and sigma > 0.5):
+        raise DomainError(f"model requires finite sigma > 1/2, got {sigma:g}")
     table = prime_powers_up_to(x)
     if V is None:
         V = 0.5 * math.fsum(
             (table.log_prime**2 * table.value.astype(np.float64) ** (-2.0 * sigma)).tolist()
         )
-    if V <= 0:
+    if not (V > 0):
         raise DomainError("V must be positive")
     prime_list, prime_index = np.unique(table.prime, return_inverse=True)
     coeff = table.log_prime * table.value.astype(np.float64) ** -sigma / math.sqrt(V)

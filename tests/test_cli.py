@@ -246,6 +246,30 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
         assert not out.exists()
 
 
+_DIST = ["dist", "--T", "1e4", "--psi", "15", "--count", "64"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--sigma", "2", "--x", "nan"],
+    ["scan", "--sigma", "2", "--x", "inf"],
+    ["scan", "--sigma", "nan", "--x", "100"],
+    ["chf", "--sigma", "0.6", "--x", "nan"],
+    ["torus", "--sigma", "0.6", "--x", "nan"],
+    _DIST + ["--chf_r", "nan"],
+    _DIST + ["--chf_r", "inf"],
+    _DIST + ["--chf_r", "0"],
+    _DIST + ["--chf_r", "1", "--chf_n", "0"],
+], ids=" ".join)
+def test_non_finite_or_degenerate_input_exits_2(tmp_path, capsys, argv):
+    # A nan fails every comparison, so a check written as `x < 2` lets it
+    # through to int() or into the results; an empty chf grid reads sup 0.
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_zeros_command_rejects_bad_tol(tmp_path, capsys):
     out = tmp_path / "run"
     for bad in ("0", "-1", "nan"):

@@ -70,16 +70,27 @@ def test_empirical_chf_at_origin_and_spots(gauss_100k):
 
 
 def test_chf_grid_matches_pointwise_loop(gauss_20k):
-    u = np.array([-0.8, -0.3, 0.0, 0.4, 1.0])
-    v = np.array([-0.9, -0.1, 0.2, 0.5, 0.7, 0.85, 1.0])
-    grid = lab.empirical_chf_grid(gauss_20k, u, v)
-    assert grid.shape == (5, 7)
-    for i in range(5):
-        for j in range(7):
-            want = lab.empirical_chf(gauss_20k, float(u[i]), float(v[j]))
-            assert abs(grid[i, j] - want) <= 1e-12
-    rechunked = lab.empirical_chf_grid(gauss_20k, u, v, chunk=1000)
-    assert np.max(np.abs(grid - rechunked)) <= 1e-12
+    axes = [
+        ([-0.8, -0.3, 0.0, 0.4, 1.0], [-0.9, -0.1, 0.2, 0.5, 0.7, 0.85, 1.0]),
+        # Exact +/- pairs, a 0, a repeated magnitude and an unpaired value
+        # fold onto the distinct magnitudes of each axis.
+        ([0.6, -0.3, 0.0, 0.3, -0.6, 0.3, 0.95], [-0.45, 0.45, 0.0, -0.45, -0.7]),
+    ]
+    for u, v in axes:
+        u, v = np.array(u), np.array(v)
+        grid = lab.empirical_chf_grid(gauss_20k, u, v)
+        assert grid.shape == (u.size, v.size)
+        for i in range(u.size):
+            for j in range(v.size):
+                want = lab.empirical_chf(gauss_20k, float(u[i]), float(v[j]))
+                assert abs(grid[i, j] - want) <= 1e-12
+        rechunked = lab.empirical_chf_grid(gauss_20k, u, v, chunk=1000)
+        assert np.max(np.abs(grid - rechunked)) <= 1e-12
+    # The sandwich's quadrature nodes come in exact +/- pairs, so they fold.
+    for level in (1, 2):
+        u, w = lab._axis_nodes(4.0, 9.3, level)
+        assert np.array_equal(u[::-1], -u)
+        assert np.array_equal(w[::-1], w)
 
 
 def test_gaussian_chf_closed_form():
@@ -250,6 +261,14 @@ def test_rect_prob_from_chf_brackets_direct_count(gauss_20k):
     frac = lab.rectangle_report(gauss_20k, -1.0, 1.0, -1.0, 1.0).empirical_fraction
     assert sw.lower - 2e-5 <= frac <= sw.upper + 2e-5
     assert sw.width <= 0.2
+    # Independent oracle: by Fourier inversion the sandwich integrals are
+    # sample means of the majorant and minorant products in closed form.
+    F_minus = selberg_interval(-1.0, 1.0, 4.0, "minorant")
+    z = gauss_20k.ok_samples()
+    fp, gp = F(z.real), F(z.imag)
+    fm, gm = F_minus(z.real), F_minus(z.imag)
+    assert abs(sw.upper - np.mean(fp * gp)) <= 2e-5
+    assert abs(sw.lower - np.mean(fm * gp + fp * gm - fp * gp)) <= 2e-5
 
 
 def test_time_average_matches_torus_moments(model_075_300):
