@@ -137,21 +137,21 @@ def cmd_chf(p: dict, out: str, workers: int, seed: int, tol: float) -> int:
 
     model = torus.make_torus_model(p["sigma"], p["x"])
     axis = np.linspace(-r_max, r_max, p["n_axis"])
+    se_grid = None
+    if method == "product":
+        grid = torus.chf_product(model, axis, axis)
+    elif method == "montecarlo":
+        grid, se_grid = torus.chf_montecarlo(model, axis, axis,
+                                             n_samples=p["n_samples"], seed=seed)
+    else:
+        grid = torus.chf_by_moments(model, axis, axis, N=p["n_moments"])
     rows = ["u,v,re,im,gaussian_re,abs_dev,std_error"]
     sup_dev = 0.0
     hard_ok = True
-    for u in axis:
-        for v in axis:
-            se = None
-            if method == "product":
-                val = torus.chf_product(model, float(u), float(v))
-            elif method == "montecarlo":
-                val, se = torus.chf_montecarlo(model, float(u), float(v),
-                                               n_samples=p["n_samples"], seed=seed,
-                                               workers=workers)
-            else:
-                val = torus.chf_by_moments(model, float(u), float(v),
-                                           N=p["n_moments"])
+    for i, u in enumerate(axis):
+        for j, v in enumerate(axis):
+            val = complex(grid[i, j])
+            se = None if se_grid is None else float(se_grid[i, j])
             gauss = math.exp(-2.0 * math.pi ** 2 * (u * u + v * v))
             dev = abs(val - gauss)
             sup_dev = max(sup_dev, dev)
@@ -252,8 +252,7 @@ def cmd_torus(p: dict, out: str, workers: int, seed: int, tol: float) -> int:
     for m, k in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (2, 2)]:
         val = torus.torus_moment_exact(model, m, k)
         moments[f"{m},{k}"] = {"re": val.real, "im": val.imag}
-    mc_val, mc_se = torus.chf_montecarlo(model, 0.5, 0.25, n_samples=n_samples,
-                                         seed=seed, workers=workers)
+    mc_val, mc_se = torus.chf_montecarlo(model, 0.5, 0.25, n_samples=n_samples, seed=seed)
     prod_val = torus.chf_product(model, 0.5, 0.25)
     bound_checks = [torus.moment_bound_check(model, k, n_samples=20_000,
                                              seed=seed) for k in (1, 2, 3)]
@@ -378,7 +377,7 @@ def cmd_zeros(p: dict, out: str, workers: int, seed: int, tol: float) -> int:
 _PARAMS = {
     # name: (cast, help)
     "out": (str, "output directory"),
-    "workers": (int, "worker processes"),
+    "workers": (int, "worker processes; only dist --mode random uses them"),
     "seed": (int, "random seed"),
     "tol": (float, "absolute tolerance"),
     "sigma": (float, "real part of the sampling line"),

@@ -24,13 +24,13 @@ from .zeta import ZeroList, log_deriv_band
 
 @dataclass(frozen=True)
 class SelbergWeightSpec:
-    """Weight parameters: finite cut point x >= 10."""
+    """Weight parameters: cut point x >= 10 whose cube x^3 is a finite float."""
 
     x: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and self.x >= 10):
-            raise DomainError(f"weight requires finite x >= 10, got {self.x:g}")
+        if not (self.x >= 10 and math.isfinite(self.x * self.x * self.x)):
+            raise DomainError(f"weight requires x >= 10 with a finite cube x^3, got {self.x:g}")
 
 
 def weight_w(n, spec: SelbergWeightSpec):

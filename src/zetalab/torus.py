@@ -2,13 +2,16 @@
 
 S(theta) = V^{-1/2} sum_{p^n <= x} (log p / p^{n sigma}) e(n theta_p),
 e(y) = exp(2 pi i y). The module provides exact sampling, exact low-order
-joint moments by unique-factorization coefficient matching, the exact
-product-form characteristic function, a seeded Monte Carlo characteristic
-function, and the truncated moment-expansion chf with its remainder
-envelope. In the product form a prime with a single term (every
-p > sqrt(x)) contributes the Bessel factor J0(2 pi c_p r), r = |(u, v)|;
-midpoint quadrature runs only over the primes p <= sqrt(x), which have
-several terms.
+joint moments by unique-factorization coefficient matching, and three
+characteristic functions: the exact product form, a seeded Monte Carlo
+estimate, and the truncated moment expansion with its remainder envelope.
+Each chf takes floats (a scalar result) or 1-d axes (the matrix over the
+grid) and does its set-up once per call. In the product form a prime with
+a single term (every p > sqrt(x)) contributes the Bessel factor
+J0(2 pi c_p r), r = |(u, v)|; midpoint quadrature runs only over the
+primes p <= sqrt(x), which have several terms. Monte Carlo draws its
+samples once, in fixed Philox-keyed blocks, and evaluates them through
+lab.empirical_chf_grid.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
+from . import lab
 from .arith import prime_powers_up_to
 from .errors import CapacityError, DomainError, QuadratureError
 
@@ -39,8 +43,7 @@ class TorusModel:
     """Term table of S(theta) at (sigma, x) with normalization V.
 
     term_value[i] = primes[term_prime_index[i]] ** term_exponent[i] <= x and
-    term_coeff[i] = log p * p^{-n sigma} / sqrt(V). Immutable and picklable;
-    safe to share across workers.
+    term_coeff[i] = log p * p^{-n sigma} / sqrt(V). Immutable.
     """
 
     sigma: float
@@ -203,135 +206,96 @@ def _j0(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def chf_product(
-    model: TorusModel, u: float, v: float, quad_points: int = 64
-) -> complex:
+def _axes(name: str, u, v) -> tuple[np.ndarray, np.ndarray, bool]:
+    """u and v as finite 1-d float axes, and whether both came in as scalars."""
+    ua, va = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    if ua.ndim > 1 or va.ndim > 1 or not (np.isfinite(ua).all() and np.isfinite(va).all()):
+        raise DomainError(f"{name} requires finite floats or 1-d axes (u, v)")
+    return np.atleast_1d(ua), np.atleast_1d(va), ua.ndim == va.ndim == 0
+
+
+def chf_product(model: TorusModel, u, v, quad_points: int = 64):
     """Exact chf E[e(u Re S + v Im S)] as a product of per-prime factors.
 
-    Independence of the theta_p factorizes the expectation over primes. A
-    prime with a single term c e(theta) (every p > sqrt(x)) contributes the
-    closed form J0(2 pi c r), r = sqrt(u^2 + v^2), by the Jacobi-Anger
-    expansion, evaluated by _j0 (Maclaurin series, the midpoint rule past
-    x = 2, Hankel's expansion past x = 25). Each prime with several terms
-    contributes a periodic integral evaluated by the midpoint rule
-    (spectrally accurate here), with global point-doubling until successive
+    u and v are floats (a complex result) or 1-d axes (the matrix
+    chf(u_i, v_j)). Independence of the theta_p factorizes the expectation
+    over primes. A prime with a single term c e(theta) (every p > sqrt(x))
+    contributes the closed form J0(2 pi c r), r = sqrt(u^2 + v^2), by the
+    Jacobi-Anger expansion, evaluated by _j0 (Maclaurin series, the midpoint
+    rule past x = 2, Hankel's expansion past x = 25). Each prime with several
+    terms contributes a periodic integral evaluated by the midpoint rule
+    (spectrally accurate here), with point-doubling per node until successive
     values of the whole product agree below 1e-12; a product that is not
-    finite raises QuadratureError at once.
+    finite raises QuadratureError at once. The midpoint sums at each K are
+    formed once per call, so each entry equals its one-node call bit for bit.
     """
     if quad_points < 64:
         raise DomainError(f"quad_points must be >= 64, got {quad_points}")
-    if not (math.isfinite(u) and math.isfinite(v)):
-        raise DomainError(f"chf_product requires finite (u, v), got ({u:g}, {v:g})")
+    ua, va, scalar = _axes("chf_product", u, v)
     counts = np.bincount(model.term_prime_index, minlength=model.n_primes())
-    single = counts[model.term_prime_index] == 1
-    bessel = float(np.prod(
-        _j0(2.0 * math.pi * math.hypot(u, v) * model.term_coeff[single])
-    ))
+    single_coeff = model.term_coeff[counts[model.term_prime_index] == 1]
     # Terms of the primes with several terms as a padded matrix:
     # coeff_mat[g, j] is the (j+1)-th power coefficient of prime g.
     max_exp = int(np.max(model.term_exponent)) if len(model) else 1
     coeff_mat = np.zeros((model.n_primes(), max_exp))
     coeff_mat[model.term_prime_index, model.term_exponent - 1] = model.term_coeff
     coeff_mat = coeff_mat[counts > 1]
+    z_at: dict[int, np.ndarray] = {}  # the midpoint sums at each K, shared by every node
 
-    def product_at(K: int) -> complex:
-        theta = (np.arange(K) + 0.5) / K
-        # z[g, i] = sum_j coeff[g, j] e((j+1) theta_i)
-        phases = np.exp(
-            2j * math.pi * np.outer(np.arange(1, max_exp + 1), theta)
-        )
-        z = coeff_mat @ phases
-        integrand = np.exp(2j * math.pi * (u * z.real + v * z.imag))
-        out = bessel * complex(np.prod(integrand.mean(axis=1)))
-        if not np.isfinite(out):  # no doubling can mend it
-            raise QuadratureError(f"chf_product is not finite at K = {K}, (u, v) = ({u:g}, {v:g})")
-        return out
+    def node(u: float, v: float) -> complex:
+        # _j0 cuts its series at its largest argument, so J0 stays per node.
+        bessel = float(np.prod(_j0(2.0 * math.pi * math.hypot(u, v) * single_coeff)))
+        prev = None
+        for K in (int(quad_points) << d for d in range(9)):
+            if K not in z_at:
+                theta = (np.arange(K) + 0.5) / K
+                # z[g, i] = sum_j coeff[g, j] e((j+1) theta_i)
+                z_at[K] = coeff_mat @ np.exp(2j * math.pi * np.outer(np.arange(1, max_exp + 1), theta))
+            z = z_at[K]
+            integrand = np.exp(2j * math.pi * (u * z.real + v * z.imag))
+            cur = bessel * complex(np.prod(integrand.mean(axis=1)))
+            if not np.isfinite(cur):  # no doubling can mend it
+                raise QuadratureError(f"chf_product is not finite at K = {K}, (u, v) = ({u:g}, {v:g})")
+            if prev is not None and abs(cur - prev) <= 1e-12 * max(1.0, abs(cur)):
+                return cur
+            prev = cur
+        raise QuadratureError(f"chf_product did not stabilize by K = {K} at (u, v) = ({u:g}, {v:g})")
 
-    K = int(quad_points)
-    prev = product_at(K)
-    for _ in range(8):
-        K *= 2
-        cur = product_at(K)
-        if abs(cur - prev) <= 1e-12 * max(1.0, abs(cur)):
-            return cur
-        prev = cur
-    raise QuadratureError(
-        f"chf_product did not stabilize by K = {K} at (u, v) = ({u:g}, {v:g})"
-    )
-
-
-def _mc_blocks(n_samples: int):
-    """Deterministic block layout: fixed size, independent of worker count."""
-    blocks = []
-    done = 0
-    index = 0
-    while done < n_samples:
-        size = min(_MC_BLOCK, n_samples - done)
-        blocks.append((index, size))
-        done += size
-        index += 1
-    return blocks
+    out = np.array([[node(a, b) for b in va.tolist()] for a in ua.tolist()], dtype=complex)
+    out = out.reshape(ua.size, va.size)  # also when an axis is empty
+    return complex(out[0, 0]) if scalar else out
 
 
-def _mc_block_S(model: TorusModel, seed: int, block) -> np.ndarray:
-    """S at one block of uniform torus samples, Philox keyed by (seed, block index)."""
-    index, size = block
-    rng = np.random.Generator(np.random.Philox(key=[int(seed), int(index)]))
-    return _eval_S_block(model, rng.random((size, model.n_primes())))
-
-
-def _mc_block_sums(model: TorusModel, u: float, v: float, seed: int, block):
-    """(sum g, sum |g|^2, n) over one counter-seeded block of samples."""
-    S = _mc_block_S(model, seed, block)
-    g = np.exp(2j * math.pi * (u * S.real + v * S.imag))
-    return complex(np.sum(g)), float(np.sum(np.abs(g) ** 2)), block[1]
-
-
-def chf_montecarlo(
-    model: TorusModel,
-    u: float,
-    v: float,
-    n_samples: int,
-    seed: int,
-    workers: int = 1,
-) -> tuple[complex, float]:
-    """(estimate, std_error) of the chf from seeded uniform torus samples.
-
-    Sampling is counter-based (Philox keyed by (seed, block index) over
-    fixed 4096-sample blocks), so the estimate is bit-identical for any
-    worker count. The standard error is the jackknife value, which for a
-    sample mean equals sqrt(sum |g - mean|^2 / (n (n-1))).
-    """
+def _sample_S(model: TorusModel, n_samples: int, seed: int) -> np.ndarray:
+    """S at n_samples >= 1000 uniform torus samples, drawn in fixed
+    4096-sample blocks with Philox keyed by (seed, block index)."""
     if n_samples < 1000:
         raise DomainError(f"n_samples must be >= 1000, got {n_samples}")
-    blocks = _mc_blocks(n_samples)
-    if workers > 1 and len(blocks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    blocks = []
+    for index, start in enumerate(range(0, n_samples, _MC_BLOCK)):
+        rng = np.random.Generator(np.random.Philox(key=[int(seed), index]))
+        theta = rng.random((min(_MC_BLOCK, n_samples - start), model.n_primes()))
+        blocks.append(_eval_S_block(model, theta))
+    return np.concatenate(blocks)
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    _mc_block_sums,
-                    [model] * len(blocks),
-                    [u] * len(blocks),
-                    [v] * len(blocks),
-                    [seed] * len(blocks),
-                    blocks,
-                )
-            )
-    else:
-        parts = [_mc_block_sums(model, u, v, seed, b) for b in blocks]
-    total = complex(0.0, 0.0)
-    total_sq = 0.0
-    n = 0
-    for s, sq, size in parts:
-        total += s
-        total_sq += sq
-        n += size
-    mean = total / n
-    var_sum = max(total_sq - n * abs(mean) ** 2, 0.0)
-    se = math.sqrt(var_sum / (n * (n - 1)))
-    return mean, se
+
+def chf_montecarlo(model: TorusModel, u, v, n_samples: int, seed: int):
+    """(estimate, std_error) of the chf from seeded uniform torus samples.
+
+    u and v are floats (a complex estimate and a float error) or 1-d axes
+    (matrices over the grid). The samples come from _sample_S, once per
+    call; the estimate is lab.empirical_chf_grid over them. The standard
+    error is the jackknife value sqrt(sum |g - mean|^2 / (n (n-1))), which
+    is sqrt((1 - |mean|^2) / (n - 1)) because |g| = 1.
+    """
+    ua, va, scalar = _axes("chf_montecarlo", u, v)
+    S = _sample_S(model, n_samples, seed)
+    sset = lab.LineSampleSet(context=None, t_values=np.arange(S.size, dtype=float),
+                             samples=S, flags=np.zeros(S.size, dtype=np.uint8),
+                             sampling={"mode": "torus", "count": S.size, "seed": int(seed)})
+    est = lab.empirical_chf_grid(sset, ua, va)
+    se = np.sqrt(np.maximum(1.0 - np.abs(est) ** 2, 0.0) / (S.size - 1))
+    return (complex(est[0, 0]), float(se[0, 0])) if scalar else (est, se)
 
 
 def chf_moments_envelope(u: float, v: float, N: int) -> float:
@@ -342,32 +306,32 @@ def chf_moments_envelope(u: float, v: float, N: int) -> float:
     )
 
 
-def chf_by_moments(model: TorusModel, u: float, v: float, N: int = 6) -> complex:
+def chf_by_moments(model: TorusModel, u, v, N: int = 6):
     """Truncated moment expansion of the chf:
 
     sum_{k<N} (2 pi i)^k / k! sum_j C(k,j) C1^j C2^{k-j} E[S^j conj(S)^{k-j}],
-    C1 = (u - iv)/2, C2 = (u + iv)/2. N must be even and <= 6 (the exact
-    moment capacity); the associated remainder envelope is
+    C1 = (u - iv)/2, C2 = (u + iv)/2, at floats u and v (a complex result)
+    or over 1-d axes (the matrix chf(u_i, v_j)); the coefficient maps and
+    each moment are computed once per call. N must be even and <= 6 (the
+    exact moment capacity); the associated remainder envelope is
     chf_moments_envelope(u, v, N).
     """
     N = int(N)
     if N < 2 or N % 2 or N > 6:
         raise DomainError(f"N must be an even integer in [2, 6], got {N}")
+    ua, va, scalar = _axes("chf_by_moments", u, v)
     maps = _coeff_maps(model, N - 1, max_keys=5_000_000)
-    C1 = (u - 1j * v) / 2.0
-    C2 = (u + 1j * v) / 2.0
-    total = complex(0.0, 0.0)
+    C1 = (ua[:, None] - 1j * va) / 2.0
+    C2 = (ua[:, None] + 1j * va) / 2.0
+    total = np.zeros(C1.shape, dtype=complex)
     for k in range(N):
-        inner = complex(0.0, 0.0)
-        for j in range(k + 1):
-            inner += math.comb(k, j) * C1**j * C2 ** (k - j) * _match(maps, j, k - j)
+        inner = sum(math.comb(k, j) * C1**j * C2 ** (k - j) * _match(maps, j, k - j)
+                    for j in range(k + 1))
         total += (2j * math.pi) ** k / math.factorial(k) * inner
-    return total
+    return complex(total[0, 0]) if scalar else total
 
 
-def moment_bound_check(
-    model: TorusModel, k: int, n_samples: int, seed: int
-) -> dict:
+def moment_bound_check(model: TorusModel, k: int, n_samples: int, seed: int) -> dict:
     """Check E|S|^{2k} against the bound 18^k k! (k <= 3).
 
     Monte Carlo estimate with standard error, cross-checked against the
@@ -378,13 +342,11 @@ def moment_bound_check(
         raise DomainError(f"moment_bound_check requires 0 <= k <= 3, got {k}")
     bound = 18.0**k * math.factorial(k)
     exact = torus_moment_exact(model, k, k).real
-    total = total_sq = 0.0
-    for block in _mc_blocks(n_samples):
-        g = np.abs(_mc_block_S(model, seed, block)) ** (2 * k)
-        total += float(np.sum(g))
-        total_sq += float(np.sum(g * g))
+    g = np.abs(_sample_S(model, n_samples, seed)) ** (2 * k)
     n = n_samples
-    mc = total / n
+    blocks = np.split(g, range(_MC_BLOCK, n, _MC_BLOCK))  # summed in draw order
+    mc = sum(float(np.sum(b)) for b in blocks) / n
+    total_sq = sum(float(np.sum(b * b)) for b in blocks)
     se = math.sqrt(max(total_sq - n * mc * mc, 0.0) / (n * (n - 1)))
     return {
         "k": k,

@@ -252,6 +252,7 @@ _DIST = ["dist", "--T", "1e4", "--psi", "15", "--count", "64"]
 @pytest.mark.parametrize("argv", [
     ["scan", "--sigma", "2", "--x", "nan"],
     ["scan", "--sigma", "2", "--x", "inf"],
+    ["scan", "--sigma", "2", "--x", "1e200"],
     ["scan", "--sigma", "nan", "--x", "100"],
     ["chf", "--sigma", "0.6", "--x", "nan"],
     ["torus", "--sigma", "0.6", "--x", "nan"],

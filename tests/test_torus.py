@@ -216,22 +216,47 @@ def test_chf_product_matches_moment_expansion(model_10):
 
 
 def test_chf_product_matches_montecarlo(model_075_300):
-    vals = (-1.0, -0.5, 0.0, 0.5, 1.0)
-    for u in vals:
-        for v in vals:
-            exact = chf_product(model_075_300, u, v)
-            mc, se = chf_montecarlo(model_075_300, u, v, 20_000, seed=3)
-            assert abs(mc - exact) <= 3.0 * se + 1e-12, (u, v)
+    vals = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+    exact = chf_product(model_075_300, vals, vals)
+    mc, se = chf_montecarlo(model_075_300, vals, vals, 20_000, seed=3)
+    assert exact.shape == mc.shape == se.shape == (5, 5)
+    assert np.all(np.abs(mc - exact) <= 3.0 * se + 1e-12)
 
 
 def test_chf_montecarlo_deterministic_across_workers(model_10):
     a, se_a = chf_montecarlo(model_10, 0.4, 0.1, 9000, seed=42)
     b, se_b = chf_montecarlo(model_10, 0.4, 0.1, 9000, seed=42)
     assert a == b and se_a == se_b
-    c, se_c = chf_montecarlo(model_10, 0.4, 0.1, 9000, seed=42, workers=2)
-    assert a == c and se_a == se_c
     d, _ = chf_montecarlo(model_10, 0.4, 0.1, 9000, seed=43)
     assert d != a
+
+
+def test_chf_grids_match_pointwise(model_10):
+    # 0, the exact pairs +-0.25 and +-0.6, and the unpaired 0.9.
+    u = np.array([-0.6, -0.25, 0.0, 0.25, 0.6, 0.9])
+    v = np.array([0.9, -0.25, 0.0, 0.25])
+    grid = chf_product(model_10, u, v)
+    mc, se = chf_montecarlo(model_10, u, v, 5000, seed=8)
+    moments = chf_by_moments(model_10, u, v, N=6)
+    assert grid.shape == mc.shape == se.shape == moments.shape == (6, 4)
+    S = torus._sample_S(model_10, 5000, seed=8)
+    for i, a in enumerate(u.tolist()):
+        for j, b in enumerate(v.tolist()):
+            assert grid[i, j] == chf_product(model_10, a, b), (a, b)
+            assert abs(moments[i, j] - chf_by_moments(model_10, a, b, N=6)) <= 1e-15
+            point, point_se = chf_montecarlo(model_10, a, b, 5000, seed=8)
+            assert abs(mc[i, j] - point) <= 1e-15 and abs(se[i, j] - point_se) <= 1e-15
+            # The jackknife standard error of the mean, straight from the samples.
+            g = np.exp(2j * math.pi * (a * S.real + b * S.imag))
+            assert abs(mc[i, j] - g.mean()) <= 1e-15
+            jack = math.sqrt(np.sum(np.abs(g - g.mean()) ** 2) / (g.size * (g.size - 1)))
+            assert abs(se[i, j] - jack) <= 1e-12 * jack
+    for chf in (chf_product, chf_by_moments,
+                lambda m, a, b: chf_montecarlo(m, a, b, 5000, seed=8)):
+        for bad in ((np.array([0.1, math.nan]), v), (u, np.array([math.inf])),
+                    (np.zeros((2, 2)), v), (0.1, np.zeros((1, 3)))):
+            with pytest.raises(DomainError):
+                chf(model_10, *bad)
 
 
 def test_eval_S_matches_block_route(model_10):
@@ -275,6 +300,9 @@ def test_domain_and_capacity_errors(model_10):
             chf_product(model_10, *bad)
     with pytest.raises(DomainError):
         chf_montecarlo(model_10, 0.1, 0.1, 500, seed=0)
+    for n_samples in (0, 1, 999):
+        with pytest.raises(DomainError):
+            moment_bound_check(model_10, 1, n_samples, seed=0)
     with pytest.raises(DomainError):
         chf_by_moments(model_10, 0.1, 0.1, N=3)
     with pytest.raises(DomainError):
