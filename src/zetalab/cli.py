@@ -10,13 +10,15 @@ flag, then config file, then environment variable ZETALAB_<NAME>, then
 the built-in default.  Config keys a command does not declare are
 ignored, so one file can serve several commands.
 
-Every command validates its full configuration before computing and
-buffers all output content in memory, so an invalid config or a failed
-run never leaves partial files.  The exit code is 0 only when the hard
-invariants of the run hold; deviations that the library only reports
-(soft targets) never affect the exit code.  All floats are written via
-repr and JSON keys are sorted, so reruns with the same config and seed
-are byte-identical apart from the generated_at line.
+Each handler cmd_<name>(params, workers, seed, tol) validates, computes
+and returns (JSON body, {file name: table text}, hard invariants hold,
+summary line); it writes nothing.  `main` alone writes <command>.json
+and the tables, all at once, so an invalid config or a failed run never
+leaves partial files; then it prints the line.  The exit code is 0 only
+when the hard invariants of the run hold; deviations that the library
+only reports (soft targets) never affect the exit code.  All floats are
+written via repr and JSON keys are sorted, so reruns with the same
+config and seed are byte-identical apart from the generated_at line.
 """
 
 from __future__ import annotations
@@ -105,11 +107,12 @@ def _write_outputs(out_dir: str, files: dict) -> None:
             tmp.unlink(missing_ok=True)
 
 
-def _json_payload(command: str, params: dict, body: dict) -> str:
-    doc = {"command": command, "params": params, "generated_at":
-           datetime.datetime.now(datetime.timezone.utc).isoformat()}
-    doc.update(body)
-    return json.dumps(doc, sort_keys=True, indent=2, default=_json_default) + "\n"
+def _csv(header: str, *columns) -> str:
+    """A CSV table from equal-length columns: strings as they are, None as
+    an empty cell, every other value as repr(float(value))."""
+    cells = [[c if isinstance(c, str) else "" if c is None else repr(float(c))
+              for c in col] for col in columns]
+    return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
 
 
 def _context_from(p: dict, tol: float):
@@ -117,49 +120,41 @@ def _context_from(p: dict, tol: float):
                                  K_const=p["K_const"], tol=tol)
 
 
-def cmd_variance(p: dict, out: str, workers: int, seed: int, tol: float) -> int:
+def cmd_variance(p: dict, workers: int, seed: int, tol: float):
     ctx = _context_from(p, tol)
-    body = ctx.as_dict()
-    files = {"variance.json": _json_payload("variance", p, body)}
-    _write_outputs(out, files)
-    print(f"variance: sigma={ctx.sigma!r} V={ctx.V!r} psi={ctx.psi!r}")
-    return 0
+    return ctx.as_dict(), {}, True, f"variance: sigma={ctx.sigma!r} V={ctx.V!r} psi={ctx.psi!r}"
 
 
-def cmd_chf(p: dict, out: str, workers: int, seed: int, tol: float) -> int:
-    method, r_max = p["method"], p["r_max"]
+def cmd_chf(p: dict, workers: int, seed: int, tol: float):
+    method, N = p["method"], p["n_moments"]
     if method not in ("product", "montecarlo", "moments"):
         raise ZetalabError(f"unknown chf method {method!r}")
+    if method == "moments" and N not in (2, 4, 6):
+        raise ZetalabError(f"N must be an even integer in [2, 6], got {N}")
     if p["n_axis"] is None:
         p["n_axis"] = 11 if method == "product" else 5
+    if p["r_max"] is None:
+        # For moments, the radius where the corner envelope
+        # (6 sqrt(2) pi 2r)^N / (N/2)! equals tol.
+        p["r_max"] = 1.0 if method != "moments" else (
+            (max(tol, 0.0) * math.gamma(N / 2 + 1)) ** (1 / N) / (12 * math.sqrt(2) * math.pi))
+    r_max = p["r_max"]
     if p["n_axis"] < 1 or not (math.isfinite(r_max) and r_max > 0):
         raise ZetalabError("chf grid requires n_axis >= 1 and r_max > 0")
 
     model = torus.make_torus_model(p["sigma"], p["x"])
     axis = np.linspace(-r_max, r_max, p["n_axis"])
-    se_grid = None
+    se = np.zeros((axis.size, axis.size))
     if method == "product":
         grid = torus.chf_product(model, axis, axis)
     elif method == "montecarlo":
-        grid, se_grid = torus.chf_montecarlo(model, axis, axis,
-                                             n_samples=p["n_samples"], seed=seed)
+        grid, se = torus.chf_montecarlo(model, axis, axis, n_samples=p["n_samples"], seed=seed)
     else:
-        grid = torus.chf_by_moments(model, axis, axis, N=p["n_moments"])
-    rows = ["u,v,re,im,gaussian_re,abs_dev,std_error"]
-    sup_dev = 0.0
-    hard_ok = True
-    for i, u in enumerate(axis):
-        for j, v in enumerate(axis):
-            val = complex(grid[i, j])
-            se = None if se_grid is None else float(se_grid[i, j])
-            gauss = math.exp(-2.0 * math.pi ** 2 * (u * u + v * v))
-            dev = abs(val - gauss)
-            sup_dev = max(sup_dev, dev)
-            if abs(val) > 1.0 + 1e-9 + (3.0 * se if se else 0.0):
-                hard_ok = False
-            se_s = repr(float(se)) if se is not None else ""
-            rows.append(f"{float(u)!r},{float(v)!r},{val.real!r},{val.imag!r},"
-                        f"{gauss!r},{dev!r},{se_s}")
+        grid = torus.chf_by_moments(model, axis, axis, N=N)
+    gauss = lab.gaussian_chf(axis[:, None], axis[None, :])
+    dev = np.hypot(grid.real - gauss, grid.imag)  # |grid - gauss|, as scalar abs rounds it
+    sup_dev = float(dev.max())
+    hard_ok = not np.any(np.abs(grid) > 1.0 + 1e-9 + 3.0 * se)
     body = {
         "sigma": p["sigma"], "x": p["x"], "method": method,
         "V": model.V, "n_primes": model.n_primes(),
@@ -170,20 +165,18 @@ def cmd_chf(p: dict, out: str, workers: int, seed: int, tol: float) -> int:
     if method == "moments":
         # The envelope grows with |u| + |v|, so the grid's corners attain
         # its largest value.
-        env = torus.chf_moments_envelope(r_max, r_max, p["n_moments"])
+        env = torus.chf_moments_envelope(r_max, r_max, N)
         body["max_moments_envelope"] = env
         note = f"; moment remainder envelope <= {env!r}"
-    files = {
-        "chf.csv": "\n".join(rows) + "\n",
-        "chf.json": _json_payload("chf", p, body),
-    }
-    _write_outputs(out, files)
-    print(f"chf[{method}]: sup |chf - gaussian| = {sup_dev!r} over "
-          f"[{-r_max},{r_max}]^2{note}")
-    return 0 if hard_ok else 1
+    std_error = [None] * se.size if method != "montecarlo" else se.ravel()
+    table = _csv("u,v,re,im,gaussian_re,abs_dev,std_error",
+                 np.repeat(axis, axis.size), np.tile(axis, axis.size), grid.real.ravel(),
+                 grid.imag.ravel(), gauss.ravel(), dev.ravel(), std_error)
+    return body, {"chf.csv": table}, hard_ok, (
+        f"chf[{method}]: sup |chf - gaussian| = {sup_dev!r} over [{-r_max},{r_max}]^2{note}")
 
 
-def cmd_dist(p: dict, out: str, workers: int, seed: int, tol: float) -> int:
+def cmd_dist(p: dict, workers: int, seed: int, tol: float):
     chf_r = p["chf_r"]
     if p["chf_n"] < 1 or not (chf_r is None or (math.isfinite(chf_r) and chf_r > 0)):
         raise ZetalabError("chf deviation grid requires chf_n >= 1 and chf_r > 0")
@@ -217,12 +210,7 @@ def cmd_dist(p: dict, out: str, workers: int, seed: int, tol: float) -> int:
     hard_ok = hard_ok and all(b >= a for a, b in zip(fracs, fracs[1:]))
     hard_ok = hard_ok and all(0.0 <= f <= 1.0 for f in fracs)
 
-    chf_rows = ["u,v,re,im,gaussian,abs_dev,envelope"]
-    for rec in chf_dev["records"]:
-        chf_rows.append(f"{rec['u']!r},{rec['v']!r},{rec['re']!r},{rec['im']!r},"
-                        f"{rec['gaussian']!r},{rec['abs_dev']!r},"
-                        f"{rec.get('envelope', float('nan'))!r}")
-
+    keys = ("u", "v", "re", "im", "gaussian", "abs_dev", "envelope")
     body = {
         "header": sset.header(),
         "disk_reports": [d.as_dict() for d in disks],
@@ -232,19 +220,18 @@ def cmd_dist(p: dict, out: str, workers: int, seed: int, tol: float) -> int:
         "second_moment": second,
         "hard_invariants_ok": bool(hard_ok),
     }
-    files = {
-        "dist.json": _json_payload("dist", p, body),
-        "dist_chf_dev.csv": "\n".join(chf_rows) + "\n",
+    tables = {
+        "dist_chf_dev.csv": _csv(",".join(keys), *([rec[k] for rec in chf_dev["records"]]
+                                                   for k in keys)),
         "dist_samples.csv": lab.samples_csv_text(sset),
     }
-    _write_outputs(out, files)
-    print(f"dist: n_ok={sset.n_ok} excluded={sset.excluded_fraction!r} "
-          f"second_moment={second!r} disk_sup={ks['sup_dev']!r} "
-          f"chf_sup={chf_dev['sup_abs_dev']!r}")
-    return 0 if hard_ok else 1
+    return body, tables, bool(hard_ok), (
+        f"dist: n_ok={sset.n_ok} excluded={sset.excluded_fraction!r} "
+        f"second_moment={second!r} disk_sup={ks['sup_dev']!r} "
+        f"chf_sup={chf_dev['sup_abs_dev']!r}")
 
 
-def cmd_torus(p: dict, out: str, workers: int, seed: int, tol: float) -> int:
+def cmd_torus(p: dict, workers: int, seed: int, tol: float):
     n_samples = p["n_samples"]
     model = torus.make_torus_model(p["sigma"], p["x"])
 
@@ -276,24 +263,23 @@ def cmd_torus(p: dict, out: str, workers: int, seed: int, tol: float) -> int:
         "moment_bound_checks": bound_checks,
         "hard_invariants_ok": bool(hard_ok),
     }
-    files = {"torus.json": _json_payload("torus", p, body)}
-    _write_outputs(out, files)
-    print(f"torus: V={model.V!r} primes={model.n_primes()} "
-          f"m11={moments['1,1']['re']!r} mc_vs_product="
-          f"{abs(mc_val - prod_val)!r} (3se={3 * mc_se!r})")
-    return 0 if hard_ok else 1
+    return body, {}, bool(hard_ok), (
+        f"torus: V={model.V!r} primes={model.n_primes()} "
+        f"m11={moments['1,1']['re']!r} mc_vs_product="
+        f"{abs(mc_val - prod_val)!r} (3se={3 * mc_se!r})")
 
 
-def cmd_bs(p: dict, out: str, workers: int, seed: int, tol: float) -> int:
+def cmd_bs(p: dict, workers: int, seed: int, tol: float):
     a, b, delta = p["a"], p["b"], p["delta"]
     kinds = ("majorant", "minorant")
+    # selberg_interval validates a, b and delta before any grid is built.
+    Fs = [bandlimit.selberg_interval(a, b, delta, kind) for kind in kinds]
+    xs = np.linspace(a - 5.0 / delta, b + 5.0 / delta, 401)
+    xi = np.linspace(-2.5 * delta, 2.5 * delta, 201)
 
     results = {}
-    csv_f = ["kind,x,F"]
-    csv_hat = ["kind,xi,abs_f_hat"]
     hard_ok = True
-    for kind in kinds:
-        F = bandlimit.selberg_interval(a, b, delta, kind)
+    for kind, F in zip(kinds, Fs):
         excess = bandlimit.excess_integral(F)
         want = (1.0 if kind == "majorant" else -1.0) / delta
         verify = bandlimit.verify_bandlimit(F)
@@ -303,28 +289,27 @@ def cmd_bs(p: dict, out: str, workers: int, seed: int, tol: float) -> int:
         hard_ok = hard_ok and verify["passed"]
         results[kind] = {"excess": excess, "expected_excess": want,
                          "verify": verify, "domination": dom}
-        xs = np.linspace(a - 5.0 / delta, b + 5.0 / delta, 401)
-        for xv, fv in zip(xs, F(xs)):
-            csv_f.append(f"{kind},{float(xv)!r},{float(fv)!r}")
-        xi = np.linspace(-2.5 * delta, 2.5 * delta, 201)
-        vals, _ = bandlimit.fourier_transform(F, xi)
-        for xv, fv in zip(xi, np.abs(vals)):
-            csv_hat.append(f"{kind},{float(xv)!r},{float(fv)!r}")
 
     body = {"a": a, "b": b, "delta": delta,
             "results": results, "hard_invariants_ok": bool(hard_ok)}
-    files = {
-        "bs.json": _json_payload("bs", p, body),
-        "bs_f.csv": "\n".join(csv_f) + "\n",
-        "bs_fhat.csv": "\n".join(csv_hat) + "\n",
+    tables = {
+        "bs_f.csv": _csv("kind,x,F", np.repeat(kinds, xs.size), np.tile(xs, 2),
+                         np.concatenate([F(xs) for F in Fs])),
+        "bs_fhat.csv": _csv("kind,xi,abs_f_hat", np.repeat(kinds, xi.size), np.tile(xi, 2),
+                            np.abs(np.concatenate([bandlimit.fourier_transform(F, xi)[0]
+                                                   for F in Fs]))),
     }
-    _write_outputs(out, files)
-    print(f"bs: delta={delta!r} excess(majorant)={float(results['majorant']['excess'])!r} "
-          f"(expected {1.0 / delta!r})")
-    return 0 if hard_ok else 1
+    return body, tables, bool(hard_ok), (
+        f"bs: delta={delta!r} excess(majorant)={float(results['majorant']['excess'])!r} "
+        f"(expected {1.0 / delta!r})")
 
 
-def cmd_scan(p: dict, out: str, workers: int, seed: int, tol: float) -> int:
+# The highest ordinate the built-in zero search serves; above it a zero
+# table must be supplied.
+_ZERO_REACH = 1000.0
+
+
+def cmd_scan(p: dict, workers: int, seed: int, tol: float):
     sigma, x, t_lo, t_hi, n_t = p["sigma"], p["x"], p["t_lo"], p["t_hi"], p["n_t"]
     if t_hi <= t_lo or n_t < 2:
         raise ZetalabError("scan requires t_hi > t_lo and n_t >= 2")
@@ -332,9 +317,9 @@ def cmd_scan(p: dict, out: str, workers: int, seed: int, tol: float) -> int:
     if p["zeros_file"]:
         zeros = zeta.read_zero_table(p["zeros_file"])
     else:
-        if t_hi > 1000.0:
-            raise ZetalabError("computing zeros above t=1000 here is too slow; "
-                               "supply zeros_file")
+        if t_hi > _ZERO_REACH:
+            raise ZetalabError(f"computing zeros above t={_ZERO_REACH:.0f} here is too "
+                               f"slow; supply zeros_file")
         zeros = zeta.find_zero_ordinates(t_hi + 5.0, tol=1e-9)
     t_grid = np.linspace(t_lo, t_hi, n_t)
     result = selberg.explicit_formula_scan(sigma, x, t_grid, zeros, tol=tol)
@@ -349,29 +334,19 @@ def cmd_scan(p: dict, out: str, workers: int, seed: int, tol: float) -> int:
             "zero_count": int(zeros.gamma.size),
             "summary": result.summary,
             "hard_invariants_ok": bool(hard_ok)}
-    files = {
-        "scan.json": _json_payload("scan", p, body),
-        "scan.csv": selberg.scan_csv_text(result),
-    }
-    _write_outputs(out, files)
-    print(f"scan: sigma={sigma!r} x={x!r} max_res={max_res!r}")
-    return 0 if hard_ok else 1
+    return body, {"scan.csv": selberg.scan_csv_text(result)}, bool(hard_ok), (
+        f"scan: sigma={sigma!r} x={x!r} max_res={max_res!r}")
 
 
-def cmd_zeros(p: dict, out: str, workers: int, seed: int, tol: float) -> int:
+def cmd_zeros(p: dict, workers: int, seed: int, tol: float):
     t_max = p["t_max"]
-    if t_max > 1000.0:
-        raise ZetalabError("zero search is supported up to t_max = 1000")
+    if t_max > _ZERO_REACH:
+        raise ZetalabError(f"zero search is supported up to t_max = {_ZERO_REACH:.0f}")
     zeros = zeta.find_zero_ordinates(t_max, tol=tol)
     body = {"t_max": t_max, "tol": tol, "count": int(zeros.gamma.size),
             "coverage": float(zeros.coverage), "hard_invariants_ok": True}
-    files = {
-        "zeros.txt": zeta.zero_table_text(zeros),
-        "zeros.json": _json_payload("zeros", p, body),
-    }
-    _write_outputs(out, files)
-    print(f"zeros: found {zeros.gamma.size} up to t={t_max!r}")
-    return 0
+    return body, {"zeros.txt": zeta.zero_table_text(zeros)}, True, (
+        f"zeros: found {zeros.gamma.size} up to t={t_max!r}")
 
 
 _PARAMS = {
@@ -390,7 +365,8 @@ _PARAMS = {
     "count": (int, "number of line samples"),
     "mode": (str, "sampling mode: grid or random"),
     "method": (str, "chf method: product, montecarlo, or moments"),
-    "r_max": (float, "half-width of the (u, v) grid"),
+    "r_max": (float, "half-width of the (u, v) grid (default 1; for moments the "
+                     "radius where the corner remainder envelope equals tol)"),
     "n_axis": (int, "points per (u, v) axis (default 11 for product, else 5)"),
     "n_samples": (int, "Monte Carlo sample count"),
     "n_moments": (int, "moment order for the chf series"),
@@ -412,7 +388,7 @@ _COMMANDS = {
     # name: (handler, {parameter: default})
     "variance": (cmd_variance, _CONTEXT),
     "chf": (cmd_chf, {"sigma": _REQUIRED, "x": _REQUIRED, "method": "product",
-                      "r_max": 1.0, "n_axis": None, "n_samples": 50_000,
+                      "r_max": None, "n_axis": None, "n_samples": 50_000,
                       "n_moments": 6}),
     "dist": (cmd_dist, {**_CONTEXT, "t_lo": 50.0, "t_hi": None, "count": 20_000,
                         "mode": "grid", "chf_r": None, "chf_n": 11}),
@@ -449,14 +425,21 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args.config or os.environ.get("ZETALAB_CONFIG"))
         common = _resolve(_COMMON, args, config)
-        return handler(_resolve(table, args, config), **common)
+        out = common.pop("out")
+        params = _resolve(table, args, config)
+        body, tables, ok, line = handler(params, **common)
+        doc = {"command": args.command, "params": params, "generated_at":
+               datetime.datetime.now(datetime.timezone.utc).isoformat(), **body}
+        text = json.dumps(doc, sort_keys=True, indent=2, default=_json_default) + "\n"
+        _write_outputs(out, {f"{args.command}.json": text, **tables})
     except ZetalabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
-
+    print(line)
+    return 0 if ok else 1
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -15,7 +15,7 @@ construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Optional
 
 import numpy as np
@@ -263,37 +263,29 @@ def chf_deviation_grid(sset: LineSampleSet, u_axis=None, v_axis=None) -> dict:
     u_axis = np.atleast_1d(np.asarray(u_axis, dtype=float))
     v_axis = np.atleast_1d(np.asarray(v_axis, dtype=float))
     grid = empirical_chf_grid(sset, u_axis, v_axis)
-
-    records = []
-    sup_dev = 0.0
-    sup_at = (0.0, 0.0)
-    sup_ratio = 0.0
-    for i, u in enumerate(u_axis):
-        for j, v in enumerate(v_axis):
-            gauss = float(gaussian_chf(u, v))
-            val = grid[i, j]
-            dev = abs(val - gauss)
-            rec = {"u": float(u), "v": float(v),
-                   "re": float(val.real), "im": float(val.imag),
-                   "gaussian": gauss, "abs_dev": float(dev)}
-            if ctx is not None:
-                env_a = ((abs(u) + abs(v)) ** 3 / ctx.V ** 1.5
-                         + (u * u + v * v) / ctx.psi ** 10)
-                env = gauss * env_a + ctx.psi ** -10
-                rec["envelope"] = float(env)
-                rec["dev_over_envelope"] = float(dev / env) if env > 0 else float("inf")
-                if env > 0:
-                    sup_ratio = max(sup_ratio, dev / env)
-            records.append(rec)
-            if dev > sup_dev:
-                sup_dev = float(dev)
-                sup_at = (float(u), float(v))
+    U, W = np.meshgrid(u_axis, v_axis, indexing="ij")
+    gauss = gaussian_chf(U, W)
+    dev = np.hypot(grid.real - gauss, grid.imag)  # |grid - gauss|, as scalar abs rounds it
+    cols = {"u": U, "v": W, "re": grid.real, "im": grid.imag,
+            "gaussian": gauss, "abs_dev": dev}
+    sup_ratio = None
+    if ctx is not None:
+        env = gauss * ((np.abs(U) + np.abs(W)) ** 3 / ctx.V ** 1.5
+                       + (U * U + W * W) / ctx.psi ** 10) + ctx.psi ** -10
+        pos = env > 0
+        cols["envelope"] = env
+        cols["dev_over_envelope"] = np.divide(dev, env, out=np.full(dev.shape, np.inf),
+                                              where=pos)
+        sup_ratio = float(np.max(cols["dev_over_envelope"][pos], initial=0.0))
+    records = [dict(zip(cols, map(float, row)))
+               for row in zip(*(c.ravel() for c in cols.values()))]
+    sup_at = np.unravel_index(np.argmax(dev), dev.shape)
     return {
         "records": records,
-        "sup_abs_dev": sup_dev,
-        "sup_at_u": sup_at[0],
-        "sup_at_v": sup_at[1],
-        "sup_dev_over_envelope": float(sup_ratio) if ctx is not None else None,
+        "sup_abs_dev": float(dev[sup_at]),
+        "sup_at_u": float(U[sup_at]),
+        "sup_at_v": float(W[sup_at]),
+        "sup_dev_over_envelope": sup_ratio,
         "n_ok": sset.n_ok,
         "excluded_fraction": sset.excluded_fraction,
     }
@@ -317,14 +309,8 @@ class DistributionReport:
             raise DomainError(f"empirical fraction {self.empirical_fraction} outside [0, 1]")
 
     def as_dict(self) -> dict:
-        out = {"region": dict(self.region),
-               "empirical_fraction": self.empirical_fraction,
-               "gaussian_prediction": self.gaussian_prediction,
-               "error_scale": self.error_scale,
-               "excluded_fraction": self.excluded_fraction,
-               "n_ok": self.n_ok,
-               "std_error": self.std_error}
-        out.update({k: v for k, v in self.extras.items()})
+        out = asdict(self)
+        out.update(out.pop("extras"))
         return out
 
 

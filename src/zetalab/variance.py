@@ -20,7 +20,7 @@ in the test suite as an independent oracle where it converges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -133,17 +133,7 @@ class VarianceContext:
     truncation_bound: float
 
     def as_dict(self) -> dict:
-        return {
-            "sigma": self.sigma,
-            "T": self.T,
-            "V": self.V,
-            "psi": self.psi,
-            "Omega": self.Omega,
-            "bOmega": self.bOmega,
-            "tOmega": self.tOmega,
-            "K_const": self.K_const,
-            "truncation_bound": self.truncation_bound,
-        }
+        return asdict(self)
 
 
 def threshold_formulas(sigma: float, T: float, K_const: float, V: float):

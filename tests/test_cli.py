@@ -2,6 +2,8 @@
 artifact files, no-partial-output on failure, and byte-determinism of
 reruns and worker counts."""
 
+import csv
+import datetime
 import json
 import math
 import os
@@ -15,8 +17,8 @@ import numpy as np
 import pytest
 
 import zetalab
-from zetalab import torus, variance, zeta
-from zetalab.cli import main
+from zetalab import lab, torus, variance, zeta
+from zetalab.cli import _COMMANDS, main
 
 
 def _read_json(path):
@@ -200,6 +202,22 @@ def test_chf_command_moments(tmp_path, capsys):
     assert doc["max_moments_envelope"] == env
     assert f"envelope <= {env!r}" in capsys.readouterr().out
 
+    # By default the grid's half-width is where the corner envelope is tol.
+    out = tmp_path / "default"
+    argv = ["chf", "--sigma", "0.75", "--x", "30", "--method", "moments"]
+    assert main(argv + ["--out", str(out)]) == 0
+    doc = _read_json(out / "chf.json")
+    assert doc["modulus_bound_ok"]
+    assert 0.5e-9 < doc["max_moments_envelope"] <= 1e-9 * (1 + 1e-12)
+    assert doc["params"]["r_max"] < 1e-3
+
+    # At r_max = 1 the truncated series is no chf (|value| far above 1):
+    # the soft failure exits 1, and both payload files are still written.
+    out = tmp_path / "wide"
+    assert main(argv + ["--r_max", "1", "--out", str(out)]) == 1
+    assert not _read_json(out / "chf.json")["modulus_bound_ok"]
+    assert len((out / "chf.csv").read_text().strip().split("\n")) == 26
+
 
 def test_chf_command_rejects_non_finite_r_max(tmp_path, capsys):
     out = tmp_path / "run"
@@ -376,6 +394,54 @@ def test_dist_worker_byte_determinism(tmp_path):
             # The workers parameter is not part of the payload.
             assert '"workers"' not in ta
         assert ta == tb, name
+
+
+_DRIVER_CASES = [
+    (["variance", "--T", "1e5", "--psi", "15"], []),
+    (["chf", "--sigma", "0.9", "--x", "30"], ["chf.csv"]),
+    (["chf", "--sigma", "0.9", "--x", "30", "--method", "montecarlo", "--n_samples", "2000",
+      "--n_axis", "3"], ["chf.csv"]),
+    (["chf", "--sigma", "0.9", "--x", "30", "--method", "moments", "--r_max", "1"],
+     ["chf.csv"]),
+    (["dist", "--T", "1000", "--sigma", "2", "--t_lo", "50", "--t_hi", "300",
+      "--count", "300"], ["dist_chf_dev.csv", "dist_samples.csv"]),
+    (["torus", "--sigma", "0.75", "--x", "50", "--n_samples", "5000"], []),
+    (["bs", "--delta", "4"], ["bs_f.csv", "bs_fhat.csv"]),
+    (["scan", "--sigma", "2", "--x", "100", "--t_lo", "30", "--t_hi", "60", "--n_t", "16"],
+     ["scan.csv"]),
+    (["zeros", "--t_max", "30"], ["zeros.txt"]),
+]
+
+
+@pytest.mark.parametrize("argv, tables", _DRIVER_CASES,
+                         ids=[" ".join(argv) for argv, _ in _DRIVER_CASES])
+def test_driver_writes_payload_and_maps_verdict(tmp_path, capsys, argv, tables):
+    # Every command's payload passes through `main`: exactly <command>.json
+    # plus the command's tables, one summary line, and an exit code that is
+    # 0 exactly when the command's hard flag holds.
+    out = tmp_path / "run"
+    rc = main(argv + ["--out", str(out)])
+    command = argv[0]
+    assert sorted(p.name for p in out.iterdir()) == sorted([f"{command}.json", *tables])
+    doc = _read_json(out / f"{command}.json")
+    assert doc["command"] == command
+    assert set(doc["params"]) == set(_COMMANDS[command][1])
+    assert datetime.datetime.fromisoformat(doc["generated_at"]).tzinfo is not None
+    flag = {"variance": True, "chf": doc.get("modulus_bound_ok")}.get(
+        command, doc.get("hard_invariants_ok"))
+    assert flag in (True, False) and rc == (0 if flag else 1)
+    printed = capsys.readouterr().out
+    assert printed.startswith(command) and printed.count("\n") == 1
+    if command == "chf":
+        with open(out / "chf.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        u, v, re_, im, gauss, dev = (np.array([float(r[k]) for r in rows]) for k in
+                                     ("u", "v", "re", "im", "gaussian_re", "abs_dev"))
+        assert np.array_equal(gauss, lab.gaussian_chf(u, v))
+        assert dev.tolist() == [abs(complex(a, b) - g) for a, b, g in zip(re_, im, gauss)]
+        assert max(dev) == doc["sup_abs_dev_from_gaussian"]
+        blank = doc["method"] != "montecarlo"
+        assert all((r["std_error"] == "") == blank for r in rows)
 
 
 _SUBCOMMANDS = ("variance", "chf", "dist", "torus", "bs", "scan", "zeros")

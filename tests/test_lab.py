@@ -116,6 +116,21 @@ def test_chf_deviation_grid(gauss_20k, ctx_desk):
     out2 = lab.chf_deviation_grid(withctx)
     assert "envelope" in out2["records"][0]
     assert out2["sup_dev_over_envelope"] > 0.0
+    # The columns are computed as arrays; every record equals the scalar
+    # formulas bit for bit.
+    V, psi = ctx_desk.V, ctx_desk.psi
+    for rec in out2["records"]:
+        u, v = rec["u"], rec["v"]
+        gauss = float(lab.gaussian_chf(u, v))
+        env = (gauss * ((abs(u) + abs(v)) ** 3 / V ** 1.5 + (u * u + v * v) / psi ** 10)
+               + psi ** -10)
+        assert rec["gaussian"] == gauss
+        assert rec["abs_dev"] == abs(complex(rec["re"], rec["im"]) - gauss)
+        assert rec["envelope"] == env
+        assert rec["dev_over_envelope"] == rec["abs_dev"] / env
+    assert out2["sup_abs_dev"] == max(rec["abs_dev"] for rec in out2["records"])
+    assert out2["sup_dev_over_envelope"] == max(rec["dev_over_envelope"]
+                                                for rec in out2["records"])
 
 
 def test_rectangle_report_against_gaussian(gauss_100k):
