@@ -108,6 +108,8 @@ def sample_line(context: VarianceContext, t_lo: float = 50.0,
     """
     t_hi = float(context.T) if t_hi is None else float(t_hi)
     t_lo = float(t_lo)
+    if not (math.isfinite(t_lo) and math.isfinite(t_hi)):
+        raise DomainError(f"t range must be finite, got [{t_lo}, {t_hi}]")
     if t_hi < t_lo:
         raise DomainError(f"t range reversed: [{t_lo}, {t_hi}]")
     if t_hi > zeta.HEIGHT_CAP:

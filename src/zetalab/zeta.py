@@ -4,19 +4,22 @@ logarithmic derivative, the Hardy Z function, and critical-line zero location.
 The engine is Euler-Maclaurin summation
 
     zeta(s) = sum_{n<N} n^{-s} + N^{1-s}/(s-1) + N^{-s}/2
-              + sum_{k=1..5} B_{2k}/(2k)! * (s)(s+1)...(s+2k-2) * N^{-s-2k+1}
+              + sum_{k=1..14} B_{2k}/(2k)! * (s)(s+1)...(s+2k-2) * N^{-s-2k+1}
               + remainder,
 
-differentiated analytically for zeta' and zeta''. _truncation picks N for
-a block of points: 1.25 max|t|, doubled while the first-neglected-term
-remainder exceeds tol/4. A scalar is a one-point block, accepted only when
-its values at N and 2N agree within tol/2 and the remainder at 2N is below
-tol/2. zeta'/zeta along a line and Hardy Z share one loop over BAND-point
-blocks, with a per-point remainder certificate; their main sums come from
-exp_sum_direct. A grid path evaluates a whole equispaced grid at one N, its
-main sums for all points at once by one NUFFT pass, which is what makes
-1e4-sample line experiments cost a fraction of a second. The zero search
-refines every sign-change bracket of Hardy Z at once, one Z call per step.
+differentiated analytically for zeta' and zeta''. The remainder is bounded
+by the first neglected (k = 15) term times |s+29|/(sigma+29) (Backlund).
+With fourteen corrections the main sum stops near 0.3-0.4 max|t|:
+_truncation picks N for a block of points as the first rung of a x1.25
+ladder from max|t|/2pi whose remainders are all at most tol/4. A scalar is a
+one-point block, accepted only when its values at N and 2N agree within
+tol/2 and the remainder at 2N is below tol/2. zeta'/zeta along a line and
+Hardy Z share one loop over BAND-point blocks, with a per-point remainder
+certificate; their main sums come from exp_sum_direct. A grid path evaluates
+a whole equispaced grid at one N, its main sums for all points at once by
+one NUFFT pass, which is what makes 1e4-sample line experiments cost a
+fraction of a second. The zero search refines every sign-change bracket of
+Hardy Z at once, one Z call per step.
 """
 
 from __future__ import annotations
@@ -38,18 +41,18 @@ from .errors import (
 
 HEIGHT_CAP = 1.0e7
 
-# B_{2k}/(2k)! for k = 1..5: the correction coefficients.
-_EM_COEFF = (
-    1.0 / 6.0 / 2.0,
-    -1.0 / 30.0 / 24.0,
-    1.0 / 42.0 / 720.0,
-    -1.0 / 30.0 / 40320.0,
-    5.0 / 66.0 / 3628800.0,
-)
-# B_{2k}/(2k(2k-1)) = B_{2k}/(2k)! * (2k-2)!: Stirling's series for log Gamma.
-_STIRLING = tuple(c * math.factorial(2 * k - 2) for k, c in enumerate(_EM_COEFF, start=1))
-# |B_12/12!| for the first neglected term (remainder estimate).
-_EM_NEXT_COEFF = (691.0 / 2730.0) / 479001600.0
+# B_{2k} = p/q for k = 1..15, exact.
+_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
+              (-3617, 510), (43867, 798), (-174611, 330), (854513, 138),
+              (-236364091, 2730), (8553103, 6), (-23749461029, 870),
+              (8615841276005, 14322))
+# B_{2k}/(2k)!, correctly rounded (integer division): the first 14 are the
+# Euler-Maclaurin corrections, the 15th bounds the remainder.
+_EM_COEFF = tuple(p / (q * math.factorial(2 * k)) for k, (p, q) in enumerate(_BERNOULLI, start=1))
+# B_{2k}/(2k(2k-1)), k = 1..5: Stirling's series for log Gamma, rounded in the
+# steps theta has always used (p/q, then / (2k)!, then * (2k-2)!).
+_STIRLING = tuple(p / q / math.factorial(2 * k) * math.factorial(2 * k - 2)
+                  for k, (p, q) in enumerate(_BERNOULLI[:5], start=1))
 
 _NEAR_ZERO_GUARD = 1e-10
 _CHUNK = 16384
@@ -62,23 +65,6 @@ def _check_tol(tol: float) -> float:
     if not (1e-15 <= tol <= 1e-6):
         raise DomainError(f"tol must lie in [1e-15, 1e-6], got {tol:g}")
     return tol
-
-
-def _rising_products(s: np.ndarray, n_factors: int):
-    """(P, P', P'') for P(s) = s(s+1)...(s+n_factors-1), by the product rule.
-
-    The accumulation form stays finite at the zeros of individual factors
-    (unlike the logarithmic-derivative shortcut), which matters at s = 0.
-    """
-    P = np.ones_like(s)
-    P1 = np.zeros_like(s)
-    P2 = np.zeros_like(s)
-    for j in range(n_factors):
-        f = s + j
-        P2 = P2 * f + 2.0 * P1
-        P1 = P1 * f + P
-        P = P * f
-    return P, P1, P2
 
 
 def _em_eval(sigma: float, t: np.ndarray, N: int, n_derivs: int):
@@ -99,13 +85,14 @@ def _em_eval(sigma: float, t: np.ndarray, N: int, n_derivs: int):
 
 def _em_tail(sigma: float, t: np.ndarray, N: int, S: list):
     """_em_eval's (values, rems) from its main sums S[d] = sum_{n<N} n^{-s}
-    log^d n, d < len(S); rems do not depend on S."""
+    log^d n, d < len(S)."""
     n_derivs = len(S) - 1
     s = sigma + 1j * t
     L = math.log(N)
     Nc = float(N)
-    A = Nc ** (1.0 - sigma) * np.exp(-1j * t * L) / (s - 1.0)
-    half = 0.5 * Nc**-sigma * np.exp(-1j * t * L)
+    phase = np.exp(-1j * t * L)
+    A = Nc ** (1.0 - sigma) * phase / (s - 1.0)
+    half = 0.5 * Nc**-sigma * phase
 
     vals = [S[0] + A + half]
     if n_derivs >= 1:
@@ -115,40 +102,63 @@ def _em_tail(sigma: float, t: np.ndarray, N: int, S: list):
         A2 = A * ((L + 1.0 / (s - 1.0)) ** 2 + 1.0 / (s - 1.0) ** 2)
         vals.append(S[2] + A2 + L * L * half)
 
-    # Bernoulli corrections T_k = c_k * P_k(s) * N^{-s-2k+1} and their
-    # s-derivatives; E' = -L E for E = N^{-s-2k+1}.
-    for k, ck in enumerate(_EM_COEFF, start=1):
-        P, P1, P2 = _rising_products(s, 2 * k - 1)
-        E = Nc ** (-sigma - 2 * k + 1) * np.exp(-1j * t * L)
-        vals[0] += ck * P * E
-        if n_derivs >= 1:
-            vals[1] += ck * (P1 - L * P) * E
-        if n_derivs >= 2:
-            vals[2] += ck * (P2 - 2.0 * L * P1 + L * L * P) * E
+    # Bernoulli corrections T_k = c_k * P(s) * N^{-s-2k+1}, P = s(s+1)...(s+2k-2),
+    # and their s-derivatives.
+    rising = _rising(s)
+    for k, (ck, products) in enumerate(zip(_EM_COEFF[:-1], rising), start=1):
+        E = ck * Nc ** (-sigma - 2 * k + 1) * phase
+        for d, term in enumerate(_times_N_power(*products, L, n_derivs)):
+            vals[d] += E * term
+    return vals, _em_rems(sigma, s, N, rising[-1], n_derivs)
 
-    # First neglected term (k = 6), scaled by the standard |s+2K+1| factor.
-    P, P1, P2 = _rising_products(s, 11)
-    Eabs = Nc ** (-sigma - 11)
-    fac = np.abs(s + 11.0) / (sigma + 11.0)
-    rems = [_EM_NEXT_COEFF * np.abs(P) * Eabs * fac]
-    if n_derivs >= 1:
-        rems.append(_EM_NEXT_COEFF * np.abs(P1 - L * P) * Eabs * fac)
-    if n_derivs >= 2:
-        rems.append(_EM_NEXT_COEFF * np.abs(P2 - 2.0 * L * P1 + L * L * P) * Eabs * fac)
-    return vals, rems
+
+def _rising(s: np.ndarray):
+    """[(P, P', P'')] for P(s) = s(s+1)...(s+2k-2), k = 1..15, from one
+    product-rule recurrence, which stays finite at the zeros of single
+    factors (s = 0)."""
+    P, P1, P2 = np.ones_like(s), np.zeros_like(s), np.zeros_like(s)
+    out = []
+    for j in range(2 * len(_EM_COEFF) - 1):
+        P, P1, P2 = P * (s + j), P1 * (s + j) + P, P2 * (s + j) + 2.0 * P1
+        if j % 2 == 0:
+            out.append((P, P1, P2))
+    return out
+
+
+def _times_N_power(P, P1, P2, L: float, n_derivs: int):
+    """(d/ds)^d [P(s) N^-s] / N^-s for d <= n_derivs, L = log N."""
+    return (P, P1 - L * P, P2 - 2.0 * L * P1 + L * L * P)[:n_derivs + 1]
+
+
+def _em_rems(sigma: float, s: np.ndarray, N: int, last, n_derivs: int):
+    """Bounds on the Euler-Maclaurin remainders after fourteen corrections at
+    N: the first neglected term (k = 15, products `last` from _rising) times
+    Backlund's |s+2K+1|/(sigma+2K+1), K = 14."""
+    fac = abs(_EM_COEFF[-1]) * float(N) ** (-sigma - 29.0)
+    fac = fac * np.abs(s + 29.0) / (sigma + 29.0)
+    return [np.abs(term) * fac for term in _times_N_power(*last, math.log(N), n_derivs)]
 
 
 def _truncation(sigma: float, t: np.ndarray, tol: float, n_derivs: int):
-    """(N, rems) for a block of points: N = 1.25 max|t|, doubled at most
-    four times while some Euler-Maclaurin remainder exceeds tol/4."""
+    """(N, rems) for a block of points: the first N of the ladder
+    max(16, ceil(max|t|/2pi)) * 1.25^j at which every Euler-Maclaurin
+    remainder is at most tol/4, else the last rung, 16 max(16, 1.25 max|t|),
+    with its rems. Rejects a non-finite sigma or t and the pole before any sum."""
+    t = _check_t(t)
+    if not math.isfinite(sigma):
+        raise DomainError(f"sigma must be finite, got {sigma:g}")
+    if abs(sigma - 1.0) < 1e-12 and np.any(np.abs(t) < 1e-12):
+        raise PoleError("zeta has a pole at s = 1")
     t_top = float(np.max(np.abs(t)))
     if t_top > HEIGHT_CAP:
         raise PrecisionError(f"|t| = {t_top:g} exceeds the height cap {HEIGHT_CAP:g}")
-    N = max(16, int(1.25 * t_top) + 1)
-    for k in range(5):
-        rems = _em_tail(sigma, t, N << k, [0.0] * (n_derivs + 1))[1]
-        if k == 4 or all(np.all(r <= 0.25 * tol) for r in rems):
-            return N << k, rems
+    s, N = sigma + 1j * t, max(16, math.ceil(t_top / (2.0 * math.pi)))
+    last, N_last = _rising(s)[-1], 16 * max(16, int(1.25 * t_top) + 1)
+    while True:
+        rems = _em_rems(sigma, s, N, last, n_derivs)
+        if N == N_last or all(np.all(r <= 0.25 * tol) for r in rems):
+            return N, rems
+        N = min(N_last, math.ceil(1.25 * N))
 
 
 def _em_point(sigma: float, t: float, tol: float, n_derivs: int):
@@ -157,8 +167,6 @@ def _em_point(sigma: float, t: float, tol: float, n_derivs: int):
     within tol/2 and every remainder at 2N is at most tol/2."""
     if sigma <= -4.0:
         raise DomainError(f"sigma = {sigma:g} is below the supported range (> -4)")
-    if abs(sigma - 1.0) < 1e-12 and abs(t) < 1e-12:
-        raise PoleError("zeta has a pole at s = 1")
     tv = np.array([t], dtype=np.float64)
     N = _truncation(sigma, tv, tol, n_derivs)[0]
     prev = _em_eval(sigma, tv, N, n_derivs)[0]
@@ -173,13 +181,15 @@ def _em_point(sigma: float, t: float, tol: float, n_derivs: int):
 
 def _em_bands(sigma: float, t: np.ndarray, tol: float, n_derivs: int):
     """(values, rems) of _em_eval over t, arrays (n_derivs + 1, len(t)), in
-    BAND-point blocks, each at its own _truncation N."""
+    BAND-point blocks, each at its own _truncation N, all picked (and so all
+    blocks checked) before the first sum."""
     vals = np.empty((n_derivs + 1, t.shape[0]), dtype=np.complex128)
     rems = np.empty(vals.shape)
-    for lo in range(0, t.shape[0], BAND):
-        tb = t[lo:lo + BAND]
-        vals[:, lo:lo + BAND], rems[:, lo:lo + BAND] = _em_eval(
-            sigma, tb, _truncation(sigma, tb, tol, n_derivs)[0], n_derivs)
+    starts = range(0, t.shape[0], BAND)
+    Ns = [_truncation(sigma, t[lo:lo + BAND], tol, n_derivs)[0] for lo in starts]
+    for lo, N in zip(starts, Ns):
+        block = slice(lo, lo + BAND)
+        vals[:, block], rems[:, block] = _em_eval(sigma, t[block], N, n_derivs)
     return vals, rems
 
 
@@ -308,8 +318,8 @@ def _check_t(t) -> np.ndarray:
 
 def theta_riemann_siegel(t) -> np.ndarray | float:
     """Riemann-Siegel theta: Im log Gamma(1/4 + it/2) - (t/2) log pi, at a float
-    t (returns a float) or a 1-d array of t: Stirling's series with the Bernoulli
-    numbers of _EM_COEFF, its first neglected term below 3e-16 once |w| >= 15,
+    t (returns a float) or a 1-d array of t: Stirling's series with the first five
+    Bernoulli numbers (_STIRLING), its first neglected term below 3e-16 once |w| >= 15,
     after log Gamma(w) = log Gamma(w + m) - sum_{j<m} log(w + j) has moved
     w = 1/4 + it/2 that far right, with one m per call, set by min |t|."""
     b = 0.5 * _check_t(t)

@@ -278,10 +278,15 @@ _DIST = ["dist", "--T", "1e4", "--psi", "15", "--count", "64"]
     _DIST + ["--chf_r", "inf"],
     _DIST + ["--chf_r", "0"],
     _DIST + ["--chf_r", "1", "--chf_n", "0"],
+    ["dist", "--T", "1e3", "--sigma", "1", "--t_lo", "-1", "--t_hi", "1", "--count", "21"],
+    ["dist", "--T", "1e3", "--sigma", "0.7", "--mode", "random", "--t_lo", "nan", "--count", "10"],
+    ["dist", "--T", "1e3", "--sigma", "0.7", "--mode", "random", "--t_hi", "nan", "--count", "10"],
+    ["dist", "--T", "1e3", "--sigma", "0.7", "--mode", "random", "--t_lo", "-inf", "--count", "10"],
 ], ids=" ".join)
 def test_non_finite_or_degenerate_input_exits_2(tmp_path, capsys, argv):
     # A nan fails every comparison, so a check written as `x < 2` lets it
-    # through to int() or into the results; an empty chf grid reads sup 0.
+    # through to int() or into the results; an empty chf grid reads sup 0;
+    # zeta'/zeta at the pole s = 1 is no sample.
     out = tmp_path / "run"
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err

@@ -213,6 +213,9 @@ def test_sample_line_modes_and_gates():
     assert empty.n_total == 0 and not empty.warning
     with pytest.raises(DomainError):
         lab.sample_line(ctx, t_lo=100.0, t_hi=50.0)
+    for lo, hi in ((math.nan, 100.0), (50.0, math.nan), (-math.inf, 100.0), (50.0, math.inf)):
+        with pytest.raises(DomainError, match="finite"):
+            lab.sample_line(ctx, t_lo=lo, t_hi=hi, sampling={"mode": "random", "count": 8})
     with pytest.raises(DomainError):
         lab.sample_line(ctx, sampling={"mode": "hexagonal"})
     with pytest.raises(DomainError):

@@ -93,6 +93,62 @@ def test_pole_and_domain_errors():
         zt.zeta(2.0, tol=0.0)
 
 
+def test_line_evaluators_refuse_the_pole_and_non_finite_input():
+    # Raised by _truncation, before any sum: no NaN comes back with flag 0.
+    with pytest.raises(PoleError):
+        zt.log_deriv_band(1.0, [0.0])
+    with pytest.raises(PoleError):
+        zt.log_deriv_band(1.0, np.linspace(-299.0, 0.0, 300))  # in the second block
+    with pytest.raises(PoleError):
+        zt.log_deriv_grid(1.0, np.linspace(-1.0, 1.0, 3))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            zt.log_deriv_band(0.7, [50.0, bad])
+        with pytest.raises(DomainError, match="finite"):
+            zt._truncation(0.7, np.array([bad]), 1e-9, 1)
+    for bad in (math.nan, math.inf):  # sigma = -inf fails the range checks first
+        with pytest.raises(DomainError, match="sigma must be finite"):
+            zt.log_deriv_band(bad, [50.0])
+        with pytest.raises(DomainError, match="sigma must be finite"):
+            zt.log_deriv_grid(bad, np.linspace(50.0, 60.0, 3))
+        with pytest.raises(DomainError, match="sigma must be finite"):
+            zt.zeta(complex(bad, 3.0))
+
+
+def test_euler_maclaurin_table():
+    # B_2k/(2k)! for k = 1..15 within 1 ulp; Stirling's five entries as they
+    # were before the table grew, so theta is unchanged bit for bit.
+    assert len(zt._EM_COEFF) == 15
+    for k, c in enumerate(zt._EM_COEFF, start=1):
+        want = mp.bernoulli(2 * k) / mp.factorial(2 * k)
+        assert abs(mp.mpf(c) - want) <= np.spacing(abs(c)), k
+    assert zt._STIRLING == (1.0 / 6.0 / 2.0, -1.0 / 30.0 / 24.0 * 2, 1.0 / 42.0 / 720.0 * 24,
+                            -1.0 / 30.0 / 40320.0 * 720, 5.0 / 66.0 / 3628800.0 * 40320)
+
+
+def test_truncation_is_short_on_the_desk_line():
+    # Fourteen corrections meet tol 1e-9 at N ~ 0.3-0.4 max|t|.
+    N, rems = zt._truncation(SIGMA_1E5, np.linspace(50.0, 1.0e5, 1500), 1e-9, 1)
+    assert N <= 40_000
+    assert all(np.all(r <= 0.25e-9) for r in rems)
+
+
+def test_line_evaluators_against_mpmath_near_1e5():
+    # Only flag-0 values are checked; sigma <= 0.75 near 1e5 is left out
+    # because the phase rounding of t log n can exceed tol there.
+    def check(t, values, flags):
+        for u, got, flag in zip(t, values, flags):
+            if flag == 0:
+                s = mp.mpc(SIGMA_1E5, float(u))
+                want = complex(mp.zeta(s, derivative=1) / mp.zeta(s))
+                assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), u
+
+    t = np.linspace(9.0e4, 1.0e5, 64)
+    check(t, *zt.log_deriv_grid(SIGMA_1E5, t, tol=1e-9))
+    t = np.sort(np.random.default_rng(15).uniform(9.0e4, 1.0e5, 16))
+    check(t, *zt.log_deriv_band(SIGMA_1E5, t, tol=1e-9))
+
+
 def test_scalar_engine_at_height_lands_within_tol_or_refuses():
     # One comparison of N against 2N guards scalar values at height: each
     # call is within tol of mpmath or raises PrecisionError, fast either way.
