@@ -296,8 +296,7 @@ def cmd_bs(p: dict, workers: int, seed: int, tol: float):
         "bs_f.csv": _csv("kind,x,F", np.repeat(kinds, xs.size), np.tile(xs, 2),
                          np.concatenate([F(xs) for F in Fs])),
         "bs_fhat.csv": _csv("kind,xi,abs_f_hat", np.repeat(kinds, xi.size), np.tile(xi, 2),
-                            np.abs(np.concatenate([bandlimit.fourier_transform(F, xi)[0]
-                                                   for F in Fs]))),
+                            np.abs(np.concatenate([F.hat(xi) for F in Fs]))),
     }
     return body, tables, bool(hard_ok), (
         f"bs: delta={delta!r} excess(majorant)={float(results['majorant']['excess'])!r} "

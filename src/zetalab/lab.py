@@ -29,9 +29,8 @@ FLAG_OK = 0
 FLAG_NEAR_ZERO = 1
 FLAG_PRECISION = 2
 
-# Random t and short grids: log_deriv_band chunks, a multiple of its band.
+# Random t split over worker processes: chunks a multiple of zeta.BAND.
 _WORKER_CHUNK = 8 * zeta.BAND
-_GRID_MIN = 16  # grids this long or longer take one zeta.log_deriv_grid pass
 _DEFAULT_COUNT = 20_000
 _WARN_EXCLUDED = 0.10
 
@@ -100,11 +99,10 @@ def sample_line(context: VarianceContext, t_lo: float = 50.0,
     sampling: {"mode": "grid", "count": N} (or "dt": spacing), or
     {"mode": "random", "count": N, "seed": S}.  Default is an equispaced
     grid of 20000 points.  Near-zero and uncertified points are flagged,
-    not raised.  A grid of at least 16 points is evaluated in one
-    zeta.log_deriv_grid pass, which `workers` does not touch; random t and
-    shorter grids go through zeta.log_deriv_band in fixed 2048-point
-    chunks, spread over `workers` processes and merged in order.  Either
-    way the output is bit-identical for every worker count.
+    not raised.  All t go through one zeta.log_deriv_band call, except
+    random t with workers > 1, which is cut into 2048-point chunks (aligned
+    to zeta.BAND) spread over `workers` processes and merged in order; the
+    output is bit-identical for every worker count.
     """
     t_hi = float(context.T) if t_hi is None else float(t_hi)
     t_lo = float(t_lo)
@@ -116,6 +114,9 @@ def sample_line(context: VarianceContext, t_lo: float = 50.0,
         raise DomainError(f"t_hi {t_hi} exceeds the evaluator height cap {zeta.HEIGHT_CAP}")
     spec = dict(sampling) if sampling is not None else {"mode": "grid"}
     mode = spec.get("mode", "grid")
+    count = int(spec.get("count", _DEFAULT_COUNT))
+    if count < 0:
+        raise DomainError("count must be nonnegative")
 
     if t_hi == t_lo:
         t = np.empty(0)
@@ -128,13 +129,9 @@ def sample_line(context: VarianceContext, t_lo: float = 50.0,
             count = int(math.floor((t_hi - t_lo) / dt)) + 1
             t = t_lo + dt * np.arange(count)
         else:
-            count = int(spec.get("count", _DEFAULT_COUNT))
-            if count < 0:
-                raise DomainError("count must be nonnegative")
             t = np.linspace(t_lo, t_hi, count)
         canonical = {"mode": "grid", "count": int(t.size), "t_lo": t_lo, "t_hi": t_hi}
     elif mode == "random":
-        count = int(spec.get("count", _DEFAULT_COUNT))
         seed = int(spec.get("seed", 0))
         rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
         t = np.sort(t_lo + (t_hi - t_lo) * rng.random(count))
@@ -143,19 +140,16 @@ def sample_line(context: VarianceContext, t_lo: float = 50.0,
     else:
         raise DomainError(f"unknown sampling mode {mode!r}")
 
-    if mode == "grid" and t.size >= _GRID_MIN:
-        values, flags = zeta.log_deriv_grid(context.sigma, t, tol=tol)
-    else:
-        chunks = [t[i:i + _WORKER_CHUNK] for i in range(0, t.size, _WORKER_CHUNK)] or [t]
-        args = ([context.sigma] * len(chunks), chunks, [tol] * len(chunks))
-        if workers > 1 and len(chunks) > 1:
-            from concurrent.futures import ProcessPoolExecutor
+    if mode == "random" and workers > 1 and t.size > _WORKER_CHUNK:
+        from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=int(workers)) as pool:
-                results = list(pool.map(zeta.log_deriv_band, *args))
-        else:
-            results = list(map(zeta.log_deriv_band, *args))
+        chunks = [t[i:i + _WORKER_CHUNK] for i in range(0, t.size, _WORKER_CHUNK)]
+        with ProcessPoolExecutor(max_workers=int(workers)) as pool:
+            results = list(pool.map(zeta.log_deriv_band, [context.sigma] * len(chunks),
+                                    chunks, [tol] * len(chunks)))
         values, flags = (np.concatenate(parts) for parts in zip(*results))
+    else:
+        values, flags = zeta.log_deriv_band(context.sigma, t, tol=tol)
 
     scale = 1.0 / math.sqrt(context.V)
     samples = values * scale

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._nufft import NufftSum, exp_sum_direct
+from ._nufft import NufftSum, exp_sum_direct, grid_step
 from .arith import lambda_segments
 from .errors import CoverageError, DomainError
 from .zeta import ZeroList, log_deriv_band
@@ -138,30 +138,20 @@ class ScanResult:
     summary: dict
 
 
-def _is_equispaced(t: np.ndarray) -> bool:
-    """Whether t_j = t0 + j dt, dt = (t[-1] - t0) / (n - 1), to 4 eps max|t| (linspace: 1 ulp)."""
-    n = t.shape[0]
-    if n < 16:
-        return False
-    grid = t[0] + np.arange(n) * ((t[-1] - t[0]) / (n - 1))
-    return bool(np.max(np.abs(t - grid)) <= 4.0 * np.finfo(float).eps * np.max(np.abs(t)))
-
-
 def prime_poly(sigma: float, t, x: float, weighted: bool = False):
     """sum_n a(n) Lambda(n) n^{-sigma-it}: a = 1 on n <= x, or a = w_x(n) on n <= x^3.
 
     t is a float (complex result) or a 1-d array. Prime powers stream from
-    lambda_segments, so no table is materialized. Equispaced t go through
-    the type-1 NUFFT at the unwrapped phases dt log n (one add per sieve
+    lambda_segments, so no table is materialized. Equispaced t (grid_step) go
+    through the type-1 NUFFT at the unwrapped phases dt log n (one add per sieve
     segment, one FFT); other t are summed directly segment by segment.
     """
     ts = np.asarray(t, dtype=np.float64)
     grid = np.atleast_1d(ts)
     spec = SelbergWeightSpec(x=x) if weighted else None
-    equi = _is_equispaced(grid)
-    if equi:
-        t0 = float(grid[0])
-        dt = (float(grid[-1]) - t0) / (grid.shape[0] - 1)
+    step = grid_step(grid)
+    if step is not None:
+        t0, dt = step
         acc = NufftSum(n_out=grid.shape[0])
     else:
         out = np.zeros(grid.shape[0], dtype=np.complex128)
@@ -169,11 +159,11 @@ def prime_poly(sigma: float, t, x: float, weighted: bool = False):
         v = value.astype(np.float64)
         coeff = (weight_w(v, spec) * logp if weighted else logp) * v**-sigma
         lv = np.log(v)
-        if equi:
+        if step is not None:
             acc.add(dt * lv, coeff * np.exp(-1j * t0 * lv))
         else:
             out += exp_sum_direct(lv, coeff, grid)
-    if equi:
+    if step is not None:
         out = acc.finish()
     return complex(out[0]) if ts.ndim == 0 else out
 

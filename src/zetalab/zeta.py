@@ -13,13 +13,13 @@ With fourteen corrections the main sum stops near 0.3-0.4 max|t|:
 _truncation picks N for a block of points as the first rung of a x1.25
 ladder from max|t|/2pi whose remainders are all at most tol/4. A scalar is a
 one-point block, accepted only when its values at N and 2N agree within
-tol/2 and the remainder at 2N is below tol/2. zeta'/zeta along a line and
-Hardy Z share one loop over BAND-point blocks, with a per-point remainder
-certificate; their main sums come from exp_sum_direct. A grid path evaluates
-a whole equispaced grid at one N, its main sums for all points at once by
-one NUFFT pass, which is what makes 1e4-sample line experiments cost a
-fraction of a second. The zero search refines every sign-change bracket of
-Hardy Z at once, one Z call per step.
+tol/2 and the remainder at 2N is below tol/2. log_deriv_band, the one
+zeta'/zeta evaluator along a line, takes an equispaced t (_nufft.grid_step)
+past BAND terms at one N, its main sums for all points in one NUFFT pass,
+which makes 1e4-sample line experiments cost a fraction of a second; other
+t, and Hardy Z, share a loop over BAND-point blocks summed by exp_sum_direct.
+One loop, _terms, yields every main-sum term, and every point gets a
+certificate. The zero search refines every sign-change bracket at once.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._nufft import RELATIVE_ACCURACY, NufftSum, exp_sum_direct
+from ._nufft import RELATIVE_ACCURACY, NufftSum, exp_sum_direct, grid_step
 from .errors import (
     CoverageError,
     DomainError,
@@ -56,8 +56,7 @@ _STIRLING = tuple(p / q / math.factorial(2 * k) * math.factorial(2 * k - 2)
 
 _NEAR_ZERO_GUARD = 1e-10
 _CHUNK = 16384
-_GRID_CHUNK = 1 << 17
-BAND = 256  # points per shared truncation in log_deriv_band and hardy_z
+BAND = 256  # points per truncation in the band loop; grids past BAND terms take the NUFFT
 
 
 def _check_tol(tol: float) -> float:
@@ -75,12 +74,16 @@ def _em_eval(sigma: float, t: np.ndarray, N: int, n_derivs: int):
     first-neglected-term magnitude estimates.
     """
     t = np.asarray(t, dtype=np.float64)
-    S = np.zeros((n_derivs + 1, t.shape[0]), dtype=np.complex128)
+    S = sum(exp_sum_direct(ln, w, t) for ln, w in _terms(sigma, N, n_derivs + 1))
+    return _em_tail(sigma, t, N, list(S))
+
+
+def _terms(sigma: float, N: int, rows: int):
+    """(log n, rows n^-sigma log^d n for d < rows) over n < N, in _CHUNK-term
+    blocks: the one main-sum loop of every Euler-Maclaurin route."""
     for lo in range(1, N, _CHUNK):
         ln = np.log(np.arange(lo, min(lo + _CHUNK, N), dtype=np.float64))
-        # Rows n^-sigma log^d n, d <= n_derivs, each one factor log n more.
-        S += exp_sum_direct(ln, np.multiply.accumulate([np.exp(-sigma * ln)] + [ln] * n_derivs), t)
-    return _em_tail(sigma, t, N, list(S))
+        yield ln, np.multiply.accumulate([np.exp(-sigma * ln)] + [ln] * (rows - 1))
 
 
 def _em_tail(sigma: float, t: np.ndarray, N: int, S: list):
@@ -251,43 +254,34 @@ def _quotient(z0, z1, errs, tol: float):
 
 
 def log_deriv_band(sigma: float, t: np.ndarray, tol: float = 1e-9):
-    """Vectorized zeta'/zeta over a sorted t array at fixed sigma.
+    """zeta'/zeta at sigma + it for a sorted 1-d t: (values, flags), flags
+    0 = ok, 1 = near_zero, 2 = precision_fail, flagged values NaN; an empty
+    t gives two empty arrays.
 
-    Returns (values, flags) with flags 0 = ok, 1 = near_zero, 2 =
-    precision_fail; an empty t gives two empty arrays. The band loop that
-    hardy_z shares evaluates BAND-point blocks, each at one truncation N
-    (chosen from the block maximum), so results do not depend on how
-    callers partition work at multiples of BAND. Flagged values are NaN.
+    An equispaced t (_nufft.grid_step) takes one N, picked from max |t|;
+    when N > BAND the sums S_k = sum_{n<N} n^-s log^k n (k < 3) are type-1
+    sums in j at t0 + j*dt (Odlyzko-Schonhage), and a Taylor step in S_{k+1}
+    moves S_0, S_1 to the exact t_j, where the Euler-Maclaurin tail is taken;
+    flag 2 marks an EM remainder + NufftSum error + Taylor remainder above
+    tol/4. Other t, and grids with N <= BAND (so max|t| <= 2pi BAND), go
+    through the band loop that hardy_z shares: BAND-point blocks, each at
+    the N of its block maximum, flag 2 marking an EM remainder above tol/4,
+    so results do not depend on how callers partition t at multiples of BAND.
     """
     tol = _check_tol(tol)
     if sigma <= 0.5:
         raise DomainError(f"log_deriv_band requires sigma > 1/2, got {sigma:g}")
-    (z0, z1), rems = _em_bands(sigma, np.asarray(t, dtype=np.float64), tol, 1)
-    return _quotient(z0, z1, rems, tol)
-
-
-def log_deriv_grid(sigma: float, t: np.ndarray, tol: float = 1e-9):
-    """zeta'/zeta on an equispaced grid t (np.linspace output, say) in one
-    NUFFT pass; returns (values, flags) as log_deriv_band does.
-
-    At one N, picked from max |t| as in log_deriv_band, the sums S_k =
-    sum_{n<N} n^-s log^k n (k < 3) are type-1 sums in j at t0 + j*dt
-    (Odlyzko-Schonhage); a Taylor step in S_{k+1} moves S_0, S_1 to the
-    exact t_j, where the Euler-Maclaurin tail is taken. Flag 2 marks a point
-    whose EM remainder + NufftSum error + Taylor remainder exceeds tol/4.
-    """
-    tol = _check_tol(tol)
-    t = np.asarray(t, dtype=np.float64)
-    n_pts = t.shape[0]
-    if sigma <= 0.5 or n_pts < 2 or not t[-1] > t[0]:
-        raise DomainError(f"log_deriv_grid needs sigma > 1/2 and t[-1] > t[0], got {sigma:g}")
-    N, rems = _truncation(sigma, t, tol, 1)
-    t0, dt = float(t[0]), (float(t[-1]) - float(t[0])) / (n_pts - 1)
+    t = _check_t(t)
+    step = grid_step(t)
+    if step is not None:
+        N, rems = _truncation(sigma, t, tol, 1)
+    if step is None or N <= BAND:
+        (z0, z1), rems = _em_bands(sigma, t, tol, 1)
+        return _quotient(z0, z1, rems, tol)
+    (t0, dt), n_pts = step, t.shape[0]
     acc = NufftSum(n_pts, shape=(3,))
     B = np.zeros(4)  # sum_{n<N} n^-sigma log^k n, the bounds of |S_k|
-    for lo in range(1, N, _GRID_CHUNK):
-        ln = np.log(np.arange(lo, min(lo + _GRID_CHUNK, N), dtype=np.float64))
-        w = np.exp(-sigma * ln) * ln ** np.arange(4)[:, None]
+    for ln, w in _terms(sigma, N, 4):
         B += w.sum(axis=1)
         acc.add(dt * ln, w[:3] * np.exp(-1j * t0 * ln))
     S0, S1, S2 = acc.finish()

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import zetalab
-from zetalab import lab, torus, variance, zeta
+from zetalab import bandlimit, lab, torus, variance, zeta
 from zetalab.cli import _COMMANDS, main
 
 
@@ -119,6 +119,17 @@ def test_bs_command_and_rerun_determinism(tmp_path):
         ta = (a / name).read_text(encoding="utf-8")
         tb = (b / name).read_text(encoding="utf-8")
         assert _without_timestamp(ta) == _without_timestamp(tb), name
+    # |F_hat| comes from the closed form; the windowed quadrature that
+    # verify_bandlimit checks it against agrees within its tail bound.
+    with open(a / "bs_fhat.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    for kind in ("majorant", "minorant"):
+        F = bandlimit.selberg_interval(-1.0, 1.0, 4.0, kind)
+        xi = np.array([float(r["xi"]) for r in rows if r["kind"] == kind])
+        col = np.array([float(r["abs_f_hat"]) for r in rows if r["kind"] == kind])
+        assert xi.size == 201 and np.array_equal(col, np.abs(F.hat(xi)))
+        windowed = np.abs(bandlimit.fourier_transform(F, xi)[0])
+        assert np.max(np.abs(col - windowed)) <= doc["results"][kind]["verify"]["tail_bound"]
 
 
 def test_negative_values_in_exponent_notation(tmp_path, capsys):
@@ -282,6 +293,7 @@ _DIST = ["dist", "--T", "1e4", "--psi", "15", "--count", "64"]
     ["dist", "--T", "1e3", "--sigma", "0.7", "--mode", "random", "--t_lo", "nan", "--count", "10"],
     ["dist", "--T", "1e3", "--sigma", "0.7", "--mode", "random", "--t_hi", "nan", "--count", "10"],
     ["dist", "--T", "1e3", "--sigma", "0.7", "--mode", "random", "--t_lo", "-inf", "--count", "10"],
+    ["dist", "--T", "1e4", "--psi", "15", "--mode", "random", "--count", "-5"],
 ], ids=" ".join)
 def test_non_finite_or_degenerate_input_exits_2(tmp_path, capsys, argv):
     # A nan fails every comparison, so a check written as `x < 2` lets it
@@ -507,10 +519,17 @@ def test_cli_runs_without_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("demo, marker, count", [
+_DEMOS = [
     ("torus_gaussian_limit.py", "x = ", 3),
     ("bandlimit_gallery.py", "passed: True", 1),
-], ids=["torus_gaussian_limit.py", "bandlimit_gallery.py"])
+    ("desk_experiment.py", "sandwich from the chf:", 1),
+    ("explicit_formula_scan.py", "points ok", 1),
+    ("variance_profile.py", "direct sum to", 4),
+    ("zero_hunt.py", "found 29 zeros", 1),
+]
+
+
+@pytest.mark.parametrize("demo, marker, count", _DEMOS, ids=[d for d, _, _ in _DEMOS])
 def test_torus_demo_runs(tmp_path, demo, marker, count):
     path = Path(__file__).resolve().parents[1] / "demos" / demo
     proc = subprocess.run([sys.executable, str(path)], capture_output=True,

@@ -222,13 +222,15 @@ def test_sample_line_modes_and_gates():
         lab.sample_line(ctx, t_hi=100.0, sampling={"mode": "grid", "dt": -1.0})
     with pytest.raises(DomainError):
         lab.sample_line(ctx, t_hi=100.0, sampling={"mode": "grid", "count": -5})
+    with pytest.raises(DomainError, match="count"):
+        lab.sample_line(ctx, t_hi=100.0, sampling={"mode": "random", "count": -5})
     with pytest.raises(DomainError):
         lab.sample_line(ctx, t_hi=zeta.HEIGHT_CAP * 2.0)
 
 
 def test_sample_line_worker_invariance():
-    # Grids take one log_deriv_grid pass; random t goes through the
-    # banded evaluator over a process pool.
+    # Grids take one log_deriv_band call; random t goes through its band
+    # route over a process pool.
     ctx = make_context(T=1000.0, sigma=2.0)
     for spec in ({"mode": "grid", "count": 4100},
                  {"mode": "random", "count": 4100, "seed": 3}):

@@ -7,8 +7,10 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zetalab._nufft import RELATIVE_ACCURACY, TAYLOR_ACCURACY, NufftSum
+from zetalab._nufft import RELATIVE_ACCURACY, TAYLOR_ACCURACY, NufftSum, grid_step
 from zetalab.arith import lambda_segments
 
 BOUND = RELATIVE_ACCURACY + TAYLOR_ACCURACY
@@ -75,3 +77,20 @@ def test_order_and_batching_agree():
         assert np.max(np.abs(_run(1000, batches) - whole)) <= BOUND * total
     modes = np.arange(1000 - 16, 1000)
     assert np.max(np.abs(whole[modes] - _direct_long_double(phi, c, modes))) <= BOUND * total
+
+
+@settings(max_examples=200, deadline=None)
+@given(t_lo=st.floats(0.0, 1e7 - 1.0), frac=st.floats(0.0, 1.0), n=st.integers(16, 30_000),
+       seed=st.integers(0, 2**32 - 1))
+def test_grid_step_accepts_sample_line_grids_and_rejects_random_t(t_lo, frac, n, seed):
+    # The t that lab.sample_line builds for a count, for a spacing dt, and
+    # for random mode, on [t_lo, t_hi] below the height cap 1e7, spans >= 1.
+    t_hi = t_lo + 1.0 + frac * (1e7 - 1.0 - t_lo)
+    by_count = np.linspace(t_lo, t_hi, n)
+    dt = (t_hi - t_lo) / (n - 1)
+    by_dt = t_lo + dt * np.arange(int(math.floor((t_hi - t_lo) / dt)) + 1)
+    for t in (by_count, by_dt):  # by_dt may come out one point short of n
+        want = (t[0], (t[-1] - t[0]) / (t.size - 1)) if t.size >= 16 else None
+        assert grid_step(t) == want
+    rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
+    assert grid_step(np.sort(t_lo + (t_hi - t_lo) * rng.random(n))) is None

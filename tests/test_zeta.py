@@ -100,7 +100,12 @@ def test_line_evaluators_refuse_the_pole_and_non_finite_input():
     with pytest.raises(PoleError):
         zt.log_deriv_band(1.0, np.linspace(-299.0, 0.0, 300))  # in the second block
     with pytest.raises(PoleError):
-        zt.log_deriv_grid(1.0, np.linspace(-1.0, 1.0, 3))
+        zt.log_deriv_band(1.0, np.linspace(-1.0, 1.0, 3))
+    # A grid long enough for the NUFFT route (N > BAND): t[1000] == 0.0.
+    grid = np.linspace(-2000.0, 2000.0, 2001)
+    assert grid[1000] == 0.0
+    with pytest.raises(PoleError):
+        zt.log_deriv_band(1.0, grid)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError, match="finite"):
             zt.log_deriv_band(0.7, [50.0, bad])
@@ -110,7 +115,9 @@ def test_line_evaluators_refuse_the_pole_and_non_finite_input():
         with pytest.raises(DomainError, match="sigma must be finite"):
             zt.log_deriv_band(bad, [50.0])
         with pytest.raises(DomainError, match="sigma must be finite"):
-            zt.log_deriv_grid(bad, np.linspace(50.0, 60.0, 3))
+            zt.log_deriv_band(bad, np.linspace(50.0, 60.0, 3))
+        with pytest.raises(DomainError, match="sigma must be finite"):
+            zt.log_deriv_band(bad, np.linspace(2000.0, 2100.0, 300))
         with pytest.raises(DomainError, match="sigma must be finite"):
             zt.zeta(complex(bad, 3.0))
 
@@ -144,7 +151,7 @@ def test_line_evaluators_against_mpmath_near_1e5():
                 assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), u
 
     t = np.linspace(9.0e4, 1.0e5, 64)
-    check(t, *zt.log_deriv_grid(SIGMA_1E5, t, tol=1e-9))
+    check(t, *zt.log_deriv_band(SIGMA_1E5, t, tol=1e-9))
     t = np.sort(np.random.default_rng(15).uniform(9.0e4, 1.0e5, 16))
     check(t, *zt.log_deriv_band(SIGMA_1E5, t, tol=1e-9))
 
@@ -186,12 +193,18 @@ def test_log_deriv_band_matches_scalar():
     assert flags.tolist() == [0] * 77
     for i in (0, 13, 38, 76):
         assert abs(values[i] - zt.log_deriv(complex(0.9, t[i]), tol=1e-10)) <= 5e-9
+    t = np.sort(np.random.default_rng(17).uniform(40.0, 2000.0, 300))
+    values, flags = zt.log_deriv_band(0.9, t, tol=1e-10)
+    assert flags.tolist() == [0] * 300
+    for i in (0, 101, 255, 256, 299):
+        assert abs(values[i] - zt.log_deriv(complex(0.9, t[i]), tol=1e-10)) <= 5e-9
 
 
 def test_log_deriv_band_partition_invariance():
-    # Bitwise identity holds for partitions aligned to the 256-point band
-    # grid (the parallel sampler only ever splits at multiples of it).
-    t = np.linspace(50.0, 300.0, 1024)
+    # Bitwise identity holds for t that is not a grid, split at multiples
+    # of the 256-point band (the parallel sampler splits only random t,
+    # and only there).
+    t = np.sort(np.random.default_rng(16).uniform(50.0, 300.0, 1024))
     full, flags_full = zt.log_deriv_band(0.75, t)
     parts, flags_parts = [], []
     for lo in range(0, 1024, 256):
@@ -200,8 +213,10 @@ def test_log_deriv_band_partition_invariance():
         flags_parts.append(f)
     assert np.array_equal(np.concatenate(parts), full, equal_nan=True)
     assert np.array_equal(np.concatenate(flags_parts), flags_full)
-    # Misaligned partitions re-pick truncations per band; values still agree
-    # within the certified tolerance budget.
+    # Misaligned partitions of a grid re-pick truncations; values still
+    # agree within the certified tolerance budget.
+    t = np.linspace(50.0, 300.0, 1024)
+    full = zt.log_deriv_band(0.75, t)[0]
     mis = np.concatenate([zt.log_deriv_band(0.75, c)[0] for c in np.array_split(t, 7)])
     assert np.max(np.abs(mis - full)) <= 1e-6
 
@@ -240,7 +255,7 @@ def test_nufft_shared_sums_match_single_and_direct():
 ])
 def test_log_deriv_grid_against_mpmath(t_grid, sigmas, picks):
     for sigma in sigmas:
-        values, flags = zt.log_deriv_grid(sigma, t_grid, tol=1e-9)
+        values, flags = zt.log_deriv_band(sigma, t_grid, tol=1e-9)
         assert np.all(flags == 0)
         for i in picks:
             s = mp.mpc(sigma, float(t_grid[i]))
@@ -250,29 +265,73 @@ def test_log_deriv_grid_against_mpmath(t_grid, sigmas, picks):
 
 @pytest.mark.parametrize("sigma, t_hi", [(0.75, 2.0e4), (SIGMA_1E5, 1.0e5)])
 def test_log_deriv_grid_matches_band(sigma, t_hi):
-    # Both paths carry the rounding of phases t log n, which the remainder
-    # certificates leave out; at sigma = 0.75 it takes the band path 1.3e-9
+    # A linspace takes the grid route; the band route is called directly.
+    # Both carry the rounding of phases t log n, which the remainder
+    # certificates leave out; at sigma = 0.75 it takes the band route 1.3e-9
     # from zeta'/zeta near t = 9.1e4 (see the mpmath test), so the
     # comparison there stops at 2e4.
     t = np.linspace(50.0, t_hi, 1000)
-    grid, flags_grid = zt.log_deriv_grid(sigma, t)
-    band, flags_band = zt.log_deriv_band(sigma, t)
+    grid, flags_grid = zt.log_deriv_band(sigma, t)
+    vals, rems = zt._em_bands(sigma, t, 1e-9, 1)
+    band, flags_band = zt._quotient(*vals, rems, 1e-9)
     assert np.array_equal(flags_grid, flags_band)
     assert np.max(np.abs(grid - band)) <= 1e-9
 
 
-def test_log_deriv_grid_flags_near_zero():
-    # t[16] == GAMMA_1 exactly: 1.0 and GAMMA_1 - 1.0 are exact doubles.
+def _takes_nufft(monkeypatch, sigma, t) -> bool:
+    """Whether log_deriv_band(sigma, t) adds any source to a NufftSum."""
+    adds = []
+
+    class Counting(NufftSum):
+        def add(self, phi, c):
+            adds.append(phi.size)
+            super().add(phi, c)
+
+    monkeypatch.setattr(zt, "NufftSum", Counting)
+    zt.log_deriv_band(sigma, t)
+    return bool(adds)
+
+
+def test_log_deriv_band_routes_grids_with_long_main_sums_to_the_nufft(monkeypatch):
+    # The desk line (N ~ 3.9e4 terms) takes the NUFFT. A grid whose main sum
+    # is at most BAND terms (1000 points of [50, 300] at sigma = 2: N = 94),
+    # a grid under 16 points and random t take the band loop.
+    assert _takes_nufft(monkeypatch, SIGMA_1E5, np.linspace(50.0, 1.0e5, 1500))
+    assert zt._truncation(2.0, np.array([300.0]), 1e-9, 1)[0] <= zt.BAND
+    assert not _takes_nufft(monkeypatch, 2.0, np.linspace(50.0, 300.0, 1000))
+    assert not _takes_nufft(monkeypatch, SIGMA_1E5, np.linspace(9.0e4, 1.0e5, 15))
+    t = np.sort(np.random.default_rng(18).uniform(9.0e4, 1.0e5, 300))
+    assert not _takes_nufft(monkeypatch, SIGMA_1E5, t)
+
+
+# The 704th zero ordinate, rounded to a double; |zeta'| there is 2.18.
+GAMMA_704 = 1067.4188601209646
+
+
+def test_log_deriv_grid_flags_near_zero(monkeypatch):
+    # t[256] == GAMMA_704 exactly: 1.0 and GAMMA_704 - 1.0 are exact doubles.
+    # N = 419 > BAND, so the grid route takes it; 1e-11 off the line
+    # |zeta| ~ 2.2e-11 there, under the 1e-10 guard.
+    t = np.linspace(GAMMA_704 - 1.0, GAMMA_704 + 1.0, 513)
+    assert t[256] == GAMMA_704
+    assert _takes_nufft(monkeypatch, 0.5 + 1e-11, t)
+    values, flags = zt.log_deriv_band(0.5 + 1e-11, t)
+    assert flags[256] == 1 and np.isnan(values[256].real)
+    assert np.count_nonzero(flags) == 1
+    vals, rems = zt._em_bands(0.5 + 1e-11, t, 1e-9, 1)
+    assert np.array_equal(flags, zt._quotient(*vals, rems, 1e-9)[1])
+    # A short grid near the first zero takes the band loop and flags it too.
     t = np.linspace(GAMMA_1 - 1.0, GAMMA_1 + 1.0, 33)
     assert t[16] == GAMMA_1
-    values, flags = zt.log_deriv_grid(0.5 + 5e-11, t)
+    values, flags = zt.log_deriv_band(0.5 + 5e-11, t)
     assert flags[16] == 1 and np.isnan(values[16].real)
     assert np.count_nonzero(flags) == 1
-    assert np.array_equal(flags, zt.log_deriv_band(0.5 + 5e-11, t)[1])
+    # One point is no grid: the band route takes it.
+    one, flag = zt.log_deriv_band(0.75, t[:1])
+    assert flag.tolist() == [0]
+    assert abs(one[0] - zt.log_deriv(complex(0.75, t[0]))) <= 1e-9
     with pytest.raises(DomainError):
-        zt.log_deriv_grid(0.75, t[:1])
-    with pytest.raises(DomainError):
-        zt.log_deriv_grid(0.5, t)
+        zt.log_deriv_band(0.5, t)
 
 
 def test_theta_riemann_siegel_pinned():
