@@ -1,20 +1,24 @@
 """Type-1 nonuniform FFT by Gaussian gridding (Greengard-Lee style).
 
-Computes out[j] = sum_k c_k exp(-i j phi_k), j < n_out, from unwrapped
-phases phi_k, reduced in integers, n = rint(phi / h), against the grid step
-h = 2 pi / Mr held in two doubles: no rounding of 2 pi or h shifts mode j by
-j * eps. Sources are spread onto an oversampled grid with a truncated
-Gaussian; one FFT and a deconvolution recover the modes. With oversampling 2
-and width 14 the error is at most RELATIVE_ACCURACY * sum |c| (one unit
-source against mpmath: 1.6-1.9e-13 within +-800 rad, up to 1e5 modes).
+NufftSum computes out[j] = sum_k w_k exp(-i t_j ell_k) on t_j = t0 + j dt,
+j < n_out, the form of every Dirichlet-polynomial sum here (ell = log n).
+With the twist exp(-i t0 ell) in the weight it is a type-1 sum in j at the
+unwrapped phases phi = dt ell, reduced in integers, n = rint(phi / h), against
+the grid step h = 2 pi / Mr held in two doubles: no rounding of 2 pi or h
+shifts mode j by j * eps. Sources are spread onto an oversampled grid with a
+truncated Gaussian; one FFT and a deconvolution recover the modes. With
+oversampling 2 and width 14 the error is at most RELATIVE_ACCURACY * sum |w|
+(one unit source against mpmath: 1.6-1.9e-13 within +-800 rad, up to 1e5
+modes), beside the rounding of t0 ell in each twist (eps |t0 ell| / 2 rad).
 
-Dense sources are grouped by phase cell first (the Taylor NUFFT of
-Anderson-Dahleh). Cells are 0.2 / n_out wide, so |j delta| < 0.1 for the
-offset delta from a cell centre. A lone source is spread at its phase; a
-cell with several is spread at its centre as M_k = sum c delta^k / k!,
-k < 9, each into its own Taylor-order grid (allocated at the first such
-cell), and finish() sums (-i j)^k mode_k by Horner's rule. The truncation
-adds at most TAYLOR_ACCURACY * sum |c| (3.05e-15).
+Dense sources are grouped by ell-cell first (the Taylor NUFFT of
+Anderson-Dahleh). Cells are 0.2 / max|t_j| wide (at most 1), so |t_j delta|
+<= 0.1 for the offset delta from a cell centre c. A lone source takes its
+twist and is spread at its phase; a cell with several takes the twist once,
+at c, and is spread at dt c as exp(-i t0 c) M_k, M_k = sum w delta^k / k!,
+k < 9 (real for real w), each into its own Taylor-order grid (allocated at
+the first such cell); finish() sums (-i t_j)^k mode_k by Horner's rule. The
+truncation adds at most TAYLOR_ACCURACY * sum |w| (3.05e-15).
 
 Spreading is additive, so callers stream sources segment by segment and the
 FFT runs once at the end; results do not depend on batching or order, up to
@@ -30,18 +34,18 @@ import numpy as np
 RELATIVE_ACCURACY = 3e-13  # measured at these two only:
 _RATIO, _SPREAD = 2, 14  # grid oversampling, Gaussian half-width in grid cells
 _TWO_PI_LO = 2.4492935982947064e-16  # 2 pi - float(2 pi)
-_CELL = 0.2  # cell width times n_out
+_CELL = 0.2  # ell-cell width times max|t_j| (at most 1 wide): |t_j delta| <= 0.1
 _ORDERS = 9  # Taylor orders 0..8 per cell
 TAYLOR_ACCURACY = math.exp(0.1) * 0.1**_ORDERS / math.factorial(_ORDERS)
 
 
 class NufftSum:
-    """Streaming accumulator for sum_k c_k exp(-i j phi_k)."""
+    """Streaming accumulator for sum_k w_k exp(-i t_j ell_k), t_j = t0 + j dt."""
 
-    def __init__(self, n_out: int, shape: tuple = ()):
+    def __init__(self, t0: float, dt: float, n_out: int, shape: tuple = ()):
         if n_out < 1:
             raise ValueError("n_out must be positive")
-        self.n_out = int(n_out)
+        self.t0, self.dt, self.n_out = float(t0), float(dt), int(n_out)
         M = 2 * self.n_out
         self.Mr = _RATIO * M
         self.spread = _SPREAD
@@ -50,40 +54,43 @@ class NufftSum:
         # h = h_hi + h_lo to double-double; n * h_hi is exact for |n| < 2**29.
         self._h_hi = float(np.float32(self.h))
         self._h_lo = ((2.0 * math.pi - self._h_hi * self.Mr) + _TWO_PI_LO) / self.Mr
+        self._width = _CELL / max(abs(self.t0), abs(self.t0 + (self.n_out - 1) * self.dt), _CELL)
         self.shape = tuple(shape)
         # Axis 0 is the Taylor order; it grows to _ORDERS on the first dense cell.
         self._grid = np.zeros((1,) + self.shape + (self.Mr,), dtype=np.complex128)
 
-    def add(self, phi: np.ndarray, c: np.ndarray) -> None:
-        """Spread sources: unwrapped phases phi (radians, shape (K,)), weights c (*shape, K)."""
-        phi = np.asarray(phi, dtype=np.float64)
-        c = np.asarray(c, dtype=np.complex128)
-        if phi.ndim != 1 or c.shape != self.shape + phi.shape:
-            raise ValueError("c must have shape (*shape, len(phi))")
-        width = _CELL / self.n_out
-        cell = np.floor(phi / width)
+    def add(self, ell: np.ndarray, w: np.ndarray) -> None:
+        """Spread sources: frequencies ell (shape (K,)), weights w (*shape, K), real or complex."""
+        ell = np.asarray(ell, dtype=np.float64)
+        w = np.asarray(w, dtype=np.complex128 if np.iscomplexobj(w) else np.float64)
+        if ell.ndim != 1 or w.shape != self.shape + ell.shape:
+            raise ValueError("w must have shape (*shape, len(ell))")
+        cell = np.floor(ell / self._width)
         if np.any(cell[1:] < cell[:-1]):
             order = np.argsort(cell, kind="stable")
-            phi, c, cell = phi[order], np.take(c, order, axis=-1), cell[order]
+            ell, w, cell = ell[order], np.take(w, order, axis=-1), cell[order]
         starts = np.flatnonzero(np.diff(cell, prepend=-np.inf))
-        if starts.size == phi.size:  # no dense cell: spread as given, holding no extra arrays
+        if starts.size == ell.size:  # no dense cell: spread as given, holding no extra arrays
             del cell, starts
-            self._spread(self._grid[0], phi, c)
+            self._spread(self._grid[0], self.dt * ell, w * np.exp(-1j * self.t0 * ell))
             return
-        counts = np.diff(starts, append=phi.size)
+        counts = np.diff(starts, append=ell.size)
         one, dense = starts[counts == 1], counts > 1
-        self._spread(self._grid[0], phi[one], np.take(c, one, axis=-1))
+        lone = ell[one]
+        self._spread(self._grid[0], self.dt * lone,
+                     np.take(w, one, axis=-1) * np.exp(-1j * self.t0 * lone))
         if self._grid.shape[0] == 1:
             self._grid = np.pad(self._grid, [(0, _ORDERS - 1)] + [(0, 0)] * (1 + len(self.shape)))
-        centre = (cell[starts[dense]] + 0.5) * width
+        centre = (cell[starts[dense]] + 0.5) * self._width
         keep = np.repeat(dense, counts)
-        delta = phi[keep] - np.repeat(centre, counts[dense])
-        term, at = np.compress(keep, c, axis=-1), np.cumsum(counts[dense]) - counts[dense]
+        delta = ell[keep] - np.repeat(centre, counts[dense])
+        term, at = np.compress(keep, w, axis=-1), np.cumsum(counts[dense]) - counts[dense]
         moments = [np.add.reduceat(term, at, axis=-1)]
         for k in range(1, _ORDERS):
             term = term * (delta / k)
             moments.append(np.add.reduceat(term, at, axis=-1))
-        self._spread(self._grid, centre, np.array(moments))
+        twist = np.exp(-1j * self.t0 * centre)  # once per cell; the moments stay real for real w
+        self._spread(self._grid, self.dt * centre, np.array(moments) * twist)
 
     def _spread(self, grid, phi, c) -> None:
         """Add the Gaussian-gridded sources c (*S, K) at phases phi into grids (*S, Mr),
@@ -110,9 +117,10 @@ class NufftSum:
         j = np.arange(self.n_out, dtype=np.float64)
         deconv = math.sqrt(math.pi / self.tau) * np.exp(j * j * self.tau)
         modes = spectrum[..., : self.n_out] * deconv
+        t = self.t0 + self.dt * j
         out = modes[-1]
-        for mode in modes[-2::-1]:  # Horner in -i j over the Taylor orders
-            out = mode + (-1j * j) * out
+        for mode in modes[-2::-1]:  # Horner in -i t_j over the Taylor orders
+            out = mode + (-1j * t) * out
         return out
 
 

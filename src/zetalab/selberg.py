@@ -35,33 +35,29 @@ class SelbergWeightSpec:
 
 def weight_w(n, spec: SelbergWeightSpec):
     """Piecewise smoothing weight w_x(n); scalar or ndarray in, like out.
-
-    Branches (L = log x, l = log n):
-      n <= x          : 1
-      x < n <= x^2    : ((3L - l)^2 - 2(2L - l)^2) / (2 L^2)
-      x^2 < n <= x^3  : (3L - l)^2 / (2 L^2)
-      n > x^3         : 0
-    """
-    x = spec.x
-    arr = np.asarray(n, dtype=np.float64)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
+    The branches are those of _weight_of_log at l = log n."""
+    arr = np.atleast_1d(np.asarray(n, dtype=np.float64))
     if np.any(arr < 1):
         raise DomainError("weight_w requires n >= 1")
-    L = math.log(x)
-    ell = np.log(arr)
-    out = np.zeros(arr.shape, dtype=np.float64)
-    out[arr <= x] = 1.0
-    mid = (arr > x) & (arr <= x * x)
-    if np.any(mid):
-        a = 3.0 * L - ell[mid]
-        b = 2.0 * L - ell[mid]
-        out[mid] = (a * a - 2.0 * b * b) / (2.0 * L * L)
-    top = (arr > x * x) & (arr <= x * x * x)
-    if np.any(top):
-        a = 3.0 * L - ell[top]
-        out[top] = a * a / (2.0 * L * L)
-    return float(out[0]) if scalar else out
+    out = _weight_of_log(np.log(arr), float(np.log(spec.x)))
+    return float(out[0]) if np.ndim(n) == 0 else out
+
+
+def _weight_of_log(ell: np.ndarray, L: float) -> np.ndarray:
+    """w_x at l = log n, L = log x, both from np.log (so n = x gives exactly 1):
+      l <= L         : 1
+      L < l <= 2L    : ((3L - l)^2 - 2(2L - l)^2) / (2 L^2)
+      2L < l <= 3L   : (3L - l)^2 / (2 L^2)
+      l > 3L         : 0
+    """
+    a = 3.0 * L - ell
+    out = a * a / (2.0 * L * L)
+    mid = ell <= 2.0 * L
+    a, b = a[mid], 2.0 * L - ell[mid]
+    out[mid] = (a * a - 2.0 * b * b) / (2.0 * L * L)
+    out[ell <= L] = 1.0
+    out[ell > 3.0 * L] = 0.0
+    return out
 
 
 def weight_branch_gaps(x: float) -> dict:
@@ -142,25 +138,24 @@ def prime_poly(sigma: float, t, x: float, weighted: bool = False):
     """sum_n a(n) Lambda(n) n^{-sigma-it}: a = 1 on n <= x, or a = w_x(n) on n <= x^3.
 
     t is a float (complex result) or a 1-d array. Prime powers stream from
-    lambda_segments, so no table is materialized. Equispaced t (grid_step) go
-    through the type-1 NUFFT at the unwrapped phases dt log n (one add per sieve
+    lambda_segments, so no table is materialized, and each gets the real
+    coefficient a(n) Lambda(n) exp(-sigma log n) from one log. Equispaced t
+    (grid_step) go through NufftSum at the frequencies log n (one add per sieve
     segment, one FFT); other t are summed directly segment by segment.
     """
     ts = np.asarray(t, dtype=np.float64)
     grid = np.atleast_1d(ts)
-    spec = SelbergWeightSpec(x=x) if weighted else None
+    L = float(np.log(SelbergWeightSpec(x=x).x)) if weighted else None  # checks x
     step = grid_step(grid)
     if step is not None:
-        t0, dt = step
-        acc = NufftSum(n_out=grid.shape[0])
+        acc = NufftSum(*step, grid.shape[0])
     else:
         out = np.zeros(grid.shape[0], dtype=np.complex128)
     for value, logp in lambda_segments(1, x**3 if weighted else x):
-        v = value.astype(np.float64)
-        coeff = (weight_w(v, spec) * logp if weighted else logp) * v**-sigma
-        lv = np.log(v)
+        lv = np.log(value.astype(np.float64))
+        coeff = (_weight_of_log(lv, L) * logp if weighted else logp) * np.exp(-sigma * lv)
         if step is not None:
-            acc.add(dt * lv, coeff * np.exp(-1j * t0 * lv))
+            acc.add(lv, coeff)
         else:
             out += exp_sum_direct(lv, coeff, grid)
     if step is not None:

@@ -272,6 +272,8 @@ def log_deriv_band(sigma: float, t: np.ndarray, tol: float = 1e-9):
     if sigma <= 0.5:
         raise DomainError(f"log_deriv_band requires sigma > 1/2, got {sigma:g}")
     t = _check_t(t)
+    if t.ndim != 1:
+        raise DomainError(f"log_deriv_band needs a 1-d t, got the scalar {float(t):g}")
     step = grid_step(t)
     if step is not None:
         N, rems = _truncation(sigma, t, tol, 1)
@@ -279,11 +281,11 @@ def log_deriv_band(sigma: float, t: np.ndarray, tol: float = 1e-9):
         (z0, z1), rems = _em_bands(sigma, t, tol, 1)
         return _quotient(z0, z1, rems, tol)
     (t0, dt), n_pts = step, t.shape[0]
-    acc = NufftSum(n_pts, shape=(3,))
+    acc = NufftSum(t0, dt, n_pts, shape=(3,))
     B = np.zeros(4)  # sum_{n<N} n^-sigma log^k n, the bounds of |S_k|
     for ln, w in _terms(sigma, N, 4):
         B += w.sum(axis=1)
-        acc.add(dt * ln, w[:3] * np.exp(-1j * t0 * ln))
+        acc.add(ln, w[:3])
     S0, S1, S2 = acc.finish()
     # delta = t - (t0 + j*dt) exactly: Knuth's two-sum for t - t0 and
     # Dekker's two-product for j*dt (j < 2**26 needs no split).

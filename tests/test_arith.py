@@ -127,6 +127,25 @@ def test_lambda_segments_match_table(segment_size):
         assert np.array_equal(np.concatenate([g for _, g in segments]), table.log_prime[keep])
 
 
+@pytest.mark.parametrize("lo, segment_size, first_edges", [
+    (0, 728, (2, 729)),  # 3^6 closes the first segment [2, 729]
+    (0, 1023, (2, 1024)),  # 2^10 closes [2, 1024]
+    (728, 296, (729, 1024)),  # both edges of [729, 1024]
+    (1023, 1000, (1024, 2017)),  # 2^10 opens [1024, 2023]
+    (2**19, 2**18, (524309, 786431)),
+])
+def test_lambda_segments_prime_powers_on_segment_edges(lo, segment_size, first_edges):
+    # Prime powers on segment edges, and hi = 2^20 itself a prime power:
+    # each comes out once, in order, with its log p.
+    table = prime_powers_up_to(2**20)
+    segments = list(lambda_segments(lo, 2**20, segment_size=segment_size))
+    assert tuple(segments[0][0][[0, -1]].tolist()) == first_edges
+    assert segments[-1][0][-1] == 2**20
+    keep = table.value > lo
+    assert np.array_equal(np.concatenate([v for v, _ in segments]), table.value[keep])
+    assert np.array_equal(np.concatenate([g for _, g in segments]), table.log_prime[keep])
+
+
 def test_chebyshev_psi_pinned():
     # Brute-force factorization oracle sums, pinned from an offline session.
     assert chebyshev_psi(100) == pytest.approx(94.0453112293574, abs=1e-9)

@@ -1,6 +1,6 @@
 """NufftSum against independent references: mpmath for one unit source at
-unwrapped phases, long-double direct sums for dense phase cells, and the
-same sources reordered or split into batches."""
+unwrapped phases, long-double direct sums for dense cells on grids at, near
+and far from t = 0, and the same sources reordered or split into batches."""
 
 import math
 
@@ -16,22 +16,31 @@ from zetalab.arith import lambda_segments
 BOUND = RELATIVE_ACCURACY + TAYLOR_ACCURACY
 
 
+def _prime_power_sources(sigma=1.0):
+    """Frequencies log n and real weights Lambda(n) n^-sigma, n in (1e7, 1.1e7]."""
+    (value, logp), = lambda_segments(10**7, 11 * 10**6, segment_size=10**6)
+    ell = np.log(value.astype(np.float64))
+    return ell, logp * np.exp(-sigma * ell)
+
+
 def _dense_sources(dt, t0=60.0, sigma=1.0):
     """Phases dt log n and Lambda-like weights for the prime powers in (1e7, 1.1e7]."""
-    (value, logp), = lambda_segments(10**7, 11 * 10**6, segment_size=10**6)
-    ln = np.log(value.astype(np.float64))
-    return dt * ln, logp * np.exp(-sigma * ln) * np.exp(-1j * t0 * ln)
+    ell, w = _prime_power_sources(sigma)
+    return dt * ell, w * np.exp(-1j * t0 * ell)
 
 
-def _direct_long_double(phi, c, modes):
-    ph = np.outer(np.asarray(modes, dtype=np.longdouble), phi.astype(np.longdouble))
-    re, im = c.real.astype(np.longdouble), c.imag.astype(np.longdouble)
+def _direct_long_double(ell, w, t):
+    """sum_k w_k exp(-i t_j ell_k) in long double, for float64 ell and w."""
+    ph = np.outer(np.asarray(t, dtype=np.longdouble), ell.astype(np.longdouble))
+    w = np.asarray(w, dtype=np.complex128)
+    re, im = w.real.astype(np.longdouble), w.imag.astype(np.longdouble)
     cos, sin = np.cos(ph), np.sin(ph)
     return (cos @ re + sin @ im).astype(np.float64) + 1j * (cos @ im - sin @ re).astype(np.float64)
 
 
 def _run(n_out, batches):
-    acc = NufftSum(n_out)
+    """The modes sum_k c_k exp(-i j phi_k), j < n_out: t0 = 0 and dt = 1."""
+    acc = NufftSum(0.0, 1.0, n_out)
     for phi, c in batches:
         acc.add(phi, c)
     return acc.finish()
@@ -53,8 +62,8 @@ def test_unit_source_matches_mpmath(n_out):
 
 @pytest.mark.parametrize("n_out, dt", [(1000, 0.25), (257, 0.9)])
 def test_dense_cells_match_long_double(n_out, dt):
-    # Near 1e7 consecutive prime powers are ~1e-6 rad apart, so every phase
-    # cell (width 0.2 / n_out) holds hundreds of sources.
+    # Near 1e7 consecutive prime powers are ~1e-6 rad apart, so every cell
+    # (width 0.2 / max|t_j| = 0.2 / (n_out - 1) here) holds hundreds of sources.
     phi, c = _dense_sources(dt)
     modes = np.arange(n_out - 16, n_out)
     out = _run(n_out, [(phi, c)])
@@ -77,6 +86,25 @@ def test_order_and_batching_agree():
         assert np.max(np.abs(_run(1000, batches) - whole)) <= BOUND * total
     modes = np.arange(1000 - 16, 1000)
     assert np.max(np.abs(whole[modes] - _direct_long_double(phi, c, modes))) <= BOUND * total
+
+
+@pytest.mark.parametrize("t0, dt, n_out", [
+    (0.0, 0.25, 1000),
+    (1.0e4, 1.0e-3, 1000),  # far from 0: cells 2e-5 wide in log n, about 12 sources each
+    (-300.0, 0.6, 1000),  # the grid crosses 0; max|t_j| sits at t0
+    (7.0, 0.0, 16),  # dt = 0: every t_j is t0
+    (0.0, 0.0, 16),  # max|t_j| = 0: one cell per unit of log n
+])
+def test_real_weights_on_a_grid_match_long_double(t0, dt, n_out):
+    # The sum form: real weights Lambda(n) n^-1 at frequencies log n; the
+    # twist exp(-i t0 log n) is taken inside add, at cell centres for dense cells.
+    ell, w = _prime_power_sources()
+    acc = NufftSum(t0, dt, n_out)
+    acc.add(ell, w)
+    out = acc.finish()
+    modes = np.unique(np.r_[np.arange(8), np.arange(n_out - 8, n_out)])
+    t = np.longdouble(t0) + np.longdouble(dt) * modes.astype(np.longdouble)
+    assert np.max(np.abs(out[modes] - _direct_long_double(ell, w, t))) <= BOUND * np.sum(w)
 
 
 @settings(max_examples=200, deadline=None)

@@ -79,6 +79,9 @@ def test_weight_pinned_interior_values():
     assert abs(weight_w(10.0**5, spec) - 0.125) <= 1e-13
     # Breakpoint values 1, 1/2, 0.
     assert weight_w(100.0, spec) == 1.0
+    # n = x gives exactly 1 also where math.log(x) and np.log(x) differ in the last bit.
+    for x in (9170.0, 19143.0, 94869.0):
+        assert weight_w(x, SelbergWeightSpec(x=x)) == 1.0
     assert abs(weight_w(10.0**4, spec) - 0.5) <= 1e-13
     assert weight_w(10.0**6 + 1e-3, spec) <= 1e-12
 
@@ -268,6 +271,16 @@ def test_grid_poly_drifted_grid_takes_direct_route():
     for a, b, n in ((50.0, 300.0, 1000), (50.0, 1e5, 1500), (1e4, 1e4 + 300.0, 1000),
                     (50.0, 1000.0, 1000), (50.0, 4e5, 20000), (0.0, 2000.0, 4096)):
         assert grid_step(np.linspace(a, b, n)) is not None
+
+
+def test_grid_poly_degenerate_grids():
+    # grid_step accepts a constant t with dt = 0, and all-zero t has
+    # max|t_j| = 0, where NufftSum's cells stop narrowing (one unit of log n).
+    for t in (np.zeros(16), np.full(16, 7.0)):
+        assert grid_step(t) == (t[0], 0.0)
+        for weighted in (False, True):
+            want = _table_sum(1.5, 50.0, t, weighted)
+            assert np.max(np.abs(prime_poly(1.5, t, 50.0, weighted) - want)) <= 1e-12
 
 
 def test_scan_in_convergent_region():

@@ -93,6 +93,14 @@ def test_pole_and_domain_errors():
         zt.zeta(2.0, tol=0.0)
 
 
+def test_log_deriv_band_refuses_a_scalar_t():
+    # A 0-d t used to die with IndexError inside grid_step.
+    for t in (50.0, np.float64(50.0), np.array(50.0)):
+        with pytest.raises(DomainError, match="1-d t") as err:
+            zt.log_deriv_band(0.75, t)
+        assert "\n" not in str(err.value)
+
+
 def test_line_evaluators_refuse_the_pole_and_non_finite_input():
     # Raised by _truncation, before any sum: no NaN comes back with flag 0.
     with pytest.raises(PoleError):
@@ -233,12 +241,12 @@ def test_nufft_shared_sums_match_single_and_direct():
     rng = np.random.default_rng(5)
     phi = rng.uniform(0.0, 2.0 * math.pi, 3000)
     c = rng.standard_normal((2, 3000)) + 1j * rng.standard_normal((2, 3000))
-    both = NufftSum(257, shape=(2,))
+    both = NufftSum(0.0, 1.0, 257, shape=(2,))
     both.add(phi, c)
     out = both.finish()
     assert out.shape == (2, 257)
     for row in range(2):
-        one = NufftSum(257)
+        one = NufftSum(0.0, 1.0, 257)
         one.add(phi, c[row])
         assert np.array_equal(one.finish(), out[row])
         want = exp_sum_direct(phi, c[row], np.arange(257.0))
@@ -283,9 +291,9 @@ def _takes_nufft(monkeypatch, sigma, t) -> bool:
     adds = []
 
     class Counting(NufftSum):
-        def add(self, phi, c):
-            adds.append(phi.size)
-            super().add(phi, c)
+        def add(self, ell, w):
+            adds.append(ell.size)
+            super().add(ell, w)
 
     monkeypatch.setattr(zt, "NufftSum", Counting)
     zt.log_deriv_band(sigma, t)
