@@ -9,16 +9,17 @@ shifts mode j by j * eps. Sources are spread onto an oversampled grid with a
 truncated Gaussian; one FFT and a deconvolution recover the modes. With
 oversampling 2 and width 14 the error is at most RELATIVE_ACCURACY * sum |w|
 (one unit source against mpmath: 1.6-1.9e-13 within +-800 rad, up to 1e5
-modes), beside the rounding of t0 ell in each twist (eps |t0 ell| / 2 rad).
+modes), beside the rounding of t0 ell in a lone twist (eps |t0 ell| / 2 rad).
 
 Dense sources are grouped by ell-cell first (the Taylor NUFFT of
 Anderson-Dahleh). Cells are 0.2 / max|t_j| wide (at most 1), so |t_j delta|
 <= 0.1 for the offset delta from a cell centre c. A lone source takes its
 twist and is spread at its phase; a cell with several takes the twist once,
-at c, and is spread at dt c as exp(-i t0 c) M_k, M_k = sum w delta^k / k!,
-k < 9 (real for real w), each into its own Taylor-order grid (allocated at
-the first such cell); finish() sums (-i t_j)^k mode_k by Horner's rule. The
-truncation adds at most TAYLOR_ACCURACY * sum |w| (3.05e-15).
+at c (t0 c exact by Dekker's two-product), and is spread at dt c as
+exp(-i t0 c) M_k, M_k = sum w delta^k / k!, k < 9 (real for real w), each
+into its own Taylor-order grid (allocated at the first such cell); finish()
+sums (-i t_j)^k mode_k by Horner's rule. The truncation adds at most
+TAYLOR_ACCURACY * sum |w| (3.05e-15).
 
 Spreading is additive, so callers stream sources segment by segment and the
 FFT runs once at the end; results do not depend on batching or order, up to
@@ -89,7 +90,9 @@ class NufftSum:
         for k in range(1, _ORDERS):
             term = term * (delta / k)
             moments.append(np.add.reduceat(term, at, axis=-1))
-        twist = np.exp(-1j * self.t0 * centre)  # once per cell; the moments stay real for real w
+        p, (ah, al), (bh, bl) = self.t0 * centre, _split(self.t0), _split(centre)
+        e = ((ah * bh - p) + ah * bl + al * bh) + al * bl  # t0 c = p + e exactly (Dekker)
+        twist = np.exp(-1j * p) * (1.0 - 1j * e)  # once per cell; the moments stay real for real w
         self._spread(self._grid, self.dt * centre, np.array(moments) * twist)
 
     def _spread(self, grid, phi, c) -> None:
@@ -122,6 +125,12 @@ class NufftSum:
         for mode in modes[-2::-1]:  # Horner in -i t_j over the Taylor orders
             out = mode + (-1j * t) * out
         return out
+
+
+def _split(x):
+    """Veltkamp's split x = hi + lo into 26-bit halves (by 2**27 + 1), for Dekker's product."""
+    hi = 134217729.0 * x - (134217729.0 * x - x)
+    return hi, x - hi
 
 
 def grid_step(t: np.ndarray):

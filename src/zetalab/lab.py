@@ -192,6 +192,32 @@ def _cos_sin_rows(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
+# Interpolation error per cos or sin factor.  An entry mixes two products of factors
+# bounded by 1 per part, so it moves by at most 4 _CHEB_TOL = 4e-15, about the eps 2 pi A R
+# (5e-15 at A R = 3.4) that rounding 2 pi a x costs an exact row; _RHO stops at 11 (n >= 16).
+_CHEB_TOL, _RHO = 1e-15, 1.0 + np.geomspace(1e-3, 10.0, 200)
+
+
+def _chf_nodes(a: np.ndarray, R: float):
+    """(nodes, lift): the rows at an axis' sorted distinct |u| a are lift @ the rows
+    at nodes (lift None: nodes = a).  For samples |x| <= R, cos and sin(2 pi a x) are
+    bounded by M = exp(pi A R (rho - 1/rho) / 2) on the Bernstein ellipse E_rho of
+    [0, A], A = max a, so n first-kind Chebyshev points err by at most 4 M rho^(1-n) /
+    (rho - 1) (Trefethen, ATAP Thm 8.2).  n is the least that meets _CHEB_TOL at some
+    rho in _RHO; only n < a.size interpolates (never for 16 or fewer a), with barycentric
+    weights (-1)^m sin(theta_m) and unit rows at the nodes."""
+    A = a.max(initial=0.0)
+    n = 1.0 + np.min(np.ceil((math.log(4.0 / _CHEB_TOL) - np.log(_RHO - 1.0)
+                              + 0.5 * math.pi * A * R * (_RHO - 1.0 / _RHO)) / np.log(_RHO)))
+    if not n < a.size:  # also a non-finite R
+        return a, None
+    theta = (np.arange(int(n)) + 0.5) * (math.pi / n)
+    nodes = 0.5 * A * (1.0 + np.cos(theta))
+    hit = a[:, None] == nodes
+    q = (-1.0) ** np.arange(int(n)) * np.sin(theta) / np.where(hit, 1.0, a[:, None] - nodes)
+    return nodes, np.where(hit.any(axis=1, keepdims=True), hit, q / q.sum(axis=1, keepdims=True))
+
+
 def empirical_chf_grid(sset: LineSampleSet, u_axis, v_axis,
                        chunk: int = 4096) -> np.ndarray:
     """Empirical chf on a tensor grid: out[i, j] = chf(u_i, v_j).
@@ -202,27 +228,32 @@ def empirical_chf_grid(sset: LineSampleSet, u_axis, v_axis,
 
         n out = (CuCv - s r SuSv) + i (r CuSv + s SuCv),
 
-    summed over the samples.  The four real products are the blocks of
-    one real matrix product per fixed-size sample chunk, so memory stays
-    at a few thin matrices per chunk.  Per sample, each distinct |u| or
-    |v| costs one cos and one sin, and the product 4 |{|u|}| |{|v|}|
-    multiply-adds, as many as a complex product over axes without +/-
-    pairs.  An axis of exact +/- pairs (as `_axis_nodes` returns) halves
-    its trigonometry, and two such axes cut the product fourfold.
+    summed over the samples.  One real product per sample chunk sums the
+    blocks [[CC, CS], [SC, SS]] of the rows at the r nodes per axis of
+    `_chf_nodes` (about 36 Chebyshev points in |u| on the `sandwich` axes,
+    which have 184 distinct |u|); after the loop the barycentric lifts make
+    each block B L_u B L_v^T, 4 _CHEB_TOL from the exact rows beside
+    rounding.  Per sample: 2 (r_u + r_v) cos/sin and 4 r_u r_v multiply-adds.
     """
+    u = np.atleast_1d(np.asarray(u_axis, dtype=float))
+    v = np.atleast_1d(np.asarray(v_axis, dtype=float))
+    if chunk < 1 or not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+        raise DomainError(f"empirical chf needs finite axes and chunk >= 1, got chunk={chunk!r}")
     z = sset.ok_samples()
     if z.size == 0:
         raise DomainError("empirical chf of an empty sample set")
-    u = np.atleast_1d(np.asarray(u_axis, dtype=float))
-    v = np.atleast_1d(np.asarray(v_axis, dtype=float))
     au, iu = np.unique(np.abs(u), return_inverse=True)
     av, iv = np.unique(np.abs(v), return_inverse=True)
     nu, nv = au.size, av.size
+    xu, lift_u = _chf_nodes(au, float(np.max(np.abs(z.real))))
+    xv, lift_v = _chf_nodes(av, float(np.max(np.abs(z.imag))))
     # One real product per chunk: [Cu; Su] [Cv; Sv]^T = [[CC, CS], [SC, SS]].
-    acc = np.zeros((2 * nu, 2 * nv))
+    acc = np.zeros((2 * xu.size, 2 * xv.size))
     for i in range(0, z.size, chunk):
         zc = z[i:i + chunk]
-        acc += _cos_sin_rows(au, zc.real) @ _cos_sin_rows(av, zc.imag).T
+        acc += _cos_sin_rows(xu, zc.real) @ _cos_sin_rows(xv, zc.imag).T
+    acc = acc if lift_u is None else np.kron(np.eye(2), lift_u) @ acc
+    acc = acc if lift_v is None else acc @ np.kron(np.eye(2), lift_v).T
     CC, CS, SC, SS = acc[:nu, :nv], acc[:nu, nv:], acc[nu:, :nv], acc[nu:, nv:]
     s = np.sign(u)[:, None]
     r = np.sign(v)

@@ -93,6 +93,90 @@ def test_chf_grid_matches_pointwise_loop(gauss_20k):
         assert np.array_equal(w[::-1], w)
 
 
+def _exact_rows_grid(sset, u, v, chunk=4096):
+    """The chf grid from cos/sin rows at every distinct |u| and |v|, summed
+    chunk by chunk and folded by sign as the grid did before its nodes."""
+    z = sset.ok_samples()
+    au, iu = np.unique(np.abs(u), return_inverse=True)
+    av, iv = np.unique(np.abs(v), return_inverse=True)
+    rows = lab._cos_sin_rows
+    acc = sum(rows(au, z.real[i:i + chunk]) @ rows(av, z.imag[i:i + chunk]).T
+              for i in range(0, z.size, chunk))
+    (CC, CS), (SC, SS) = ((blk[np.ix_(iu, iv)] for blk in np.split(half, 2, axis=1))
+                          for half in np.split(acc, 2))
+    s, r = np.sign(u)[:, None], np.sign(v)
+    return ((CC - s * r * SS) + 1j * (r * CS + s * SC)) / z.size
+
+
+def test_chf_grid_by_interpolation_matches_exact_rows(gauss_20k):
+    # The sandwich's quadrature axes, on the samples and on a copy scaled x5
+    # (max |x| about 21, so 5x the nodes): Chebyshev nodes and lifts against
+    # the rows at every distinct |u|, on every seventh row and column.
+    z0 = gauss_20k.ok_samples()
+    lifted = 0
+    for scale in (1.0, 5.0):
+        sset = lab.LineSampleSet(context=None, t_values=gauss_20k.t_values, samples=scale * z0,
+                                 flags=gauss_20k.flags, sampling={})
+        x_max = float(np.max(np.abs(sset.ok_samples().real)))
+        for delta in (1.0, 4.0):
+            for level in (1, 2):
+                u, _ = lab._axis_nodes(delta, 6.0, level)
+                lifted += lab._chf_nodes(np.unique(np.abs(u)), x_max)[1] is not None
+                grid = lab.empirical_chf_grid(sset, u, u)
+                some = np.r_[0:u.size:7, u.size - 1]
+                want = _exact_rows_grid(sset, u[some], u[some])
+                dev = np.max(np.abs(grid[np.ix_(some, some)] - want))
+                assert dev <= 4e-15, (scale, delta, level, dev)
+                for i, j in ((0, 1), (u.size // 3, u.size - 1), (u.size // 2, u.size // 2)):
+                    want = lab.empirical_chf(sset, float(u[i]), float(u[j]))
+                    assert abs(grid[i, j] - want) <= 1e-12
+    assert lifted >= 6
+    # An 11-point axis, as `dist` tabulates, has fewer distinct |u| than nodes:
+    # the exact rows, bit for bit.
+    axis = np.linspace(-1.0, 1.0, 11)
+    assert np.array_equal(lab.empirical_chf_grid(gauss_20k, axis, axis),
+                          _exact_rows_grid(gauss_20k, axis, axis))
+
+
+def test_chf_node_rule_meets_its_tolerance():
+    # The rule's node count n, with the interpolant rebuilt in long double so
+    # that the interpolation error alone shows (in double, rounding the nodes
+    # and phases costs about eps 2 pi A R, as it does the exact rows): cos and
+    # sin(2 pi a x) at x = +-R, lifted from n nodes, on a fine a-grid.
+    if np.finfo(np.longdouble).eps > 1e-18:
+        pytest.skip("needs an extended long double")
+    ld = np.longdouble
+    pi = np.arccos(ld(-1))
+    for A, R in ((1.0, 3.4), (4.0, 4.3), (4.0, 21.0), (0.3, 0.5)):
+        a = np.linspace(0.0, A, 3000)  # even: no a at the middle node of an odd n
+        nodes, lift = lab._chf_nodes(a, R)
+        assert lift is not None and nodes.size < 400
+        theta = (np.arange(nodes.size) + ld(0.5)) * (pi / nodes.size)
+        at = ld(A) * (1 + np.cos(theta)) / 2
+        q = (-1.0) ** np.arange(nodes.size) * np.sin(theta) / (a.astype(ld)[:, None] - at)
+        for x in (-R, R):
+            for f in (np.cos, np.sin):
+                err = np.max(np.abs((q @ f(2 * pi * ld(x) * at)) / q.sum(axis=1)
+                                    - f(2 * pi * ld(x) * a.astype(ld))))
+                assert err <= lab._CHEB_TOL, (A, R, x, f, err)
+        # A magnitude that equals a node takes the unit row.
+        b = np.sort(np.r_[a, nodes[5]])
+        row = lab._chf_nodes(b, R)[1][np.searchsorted(b, nodes[5])]
+        assert np.array_equal(row, np.arange(nodes.size) == 5)
+
+
+def test_chf_grid_rejects_non_finite_axes_and_bad_chunk(gauss_20k):
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            lab.empirical_chf_grid(gauss_20k, [0.1, bad], [0.2])
+        with pytest.raises(DomainError):
+            lab.empirical_chf_grid(gauss_20k, [0.1], [bad])
+    for chunk in (0, -4):
+        with pytest.raises(DomainError):
+            lab.empirical_chf_grid(gauss_20k, [0.1], [0.2], chunk=chunk)
+    assert lab.empirical_chf_grid(gauss_20k, [], [0.2, 0.3]).shape == (0, 2)
+
+
 def test_gaussian_chf_closed_form():
     assert lab.gaussian_chf(0.0, 0.0) == 1.0
     u, v = 0.3, -0.4
