@@ -1,15 +1,20 @@
-"""Type-1 nonuniform FFT by Gaussian gridding (Greengard-Lee style).
+"""Type-1 nonuniform FFT by exponential-of-semicircle (ES) gridding.
 
 NufftSum computes out[j] = sum_k w_k exp(-i t_j ell_k) on t_j = t0 + j dt,
 j < n_out, the form of every Dirichlet-polynomial sum here (ell = log n).
 With the twist exp(-i t0 ell) in the weight it is a type-1 sum in j at the
-unwrapped phases phi = dt ell, reduced in integers, n = rint(phi / h), against
-the grid step h = 2 pi / Mr held in two doubles: no rounding of 2 pi or h
-shifts mode j by j * eps. Sources are spread onto an oversampled grid with a
-truncated Gaussian; one FFT and a deconvolution recover the modes. With
-oversampling 2 and width 14 the error is at most RELATIVE_ACCURACY * sum |w|
-(one unit source against mpmath: 1.6-1.9e-13 within +-800 rad, up to 1e5
-modes), beside the rounding of t0 ell in a lone twist (eps |t0 ell| / 2 rad).
+unwrapped phases phi = dt ell = n h + d, n = rint(phi / h), reduced in
+integers against the grid step h = 2 pi / Mr held in two doubles: no
+rounding of 2 pi or h shifts mode j by j * eps. A source goes onto grid
+points n - 6..n + 6, Mr = 8 ceil(n_out / 2), with the weights exp(beta
+(sqrt(1 - z^2) - 1)), z = (m h - d) / 6.5 h (Barnett, Magland & af
+Klinteberg, SIAM J. Sci. Comput. 41 (2019)). Mode j, read from the centre
+of the band, is FFT index j - jc (mod Mr), jc = Mr / 8, of the sources
+twisted by exp(-i jc phi) = exp(-i pi n / 4) exp(-i jc d), divided by the
+kernel's Fourier transform (22-node Gauss-Legendre), whose largest factor
+is 1.44 times its smallest. One unit source errs by at most 2.5e-14 against
+mpmath (+-800 rad, up to 2e4 modes); RELATIVE_ACCURACY * sum |w| stays the
+certificate, beside the rounding of t0 ell in a lone twist (eps |t0 ell| / 2).
 
 Dense sources are grouped by ell-cell first (the Taylor NUFFT of
 Anderson-Dahleh). Cells are 0.2 / max|t_j| wide (at most 1), so |t_j delta|
@@ -28,13 +33,17 @@ the stated bounds.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-RELATIVE_ACCURACY = 3e-13  # measured at these two only:
-_RATIO, _SPREAD = 2, 14  # grid oversampling, Gaussian half-width in grid cells
+RELATIVE_ACCURACY = 3e-13  # the certificate; one unit source errs by at most 2.5e-14
+_SPREAD = 6  # ES half-width: 2 * 6 + 1 grid points per source
 _TWO_PI_LO = 2.4492935982947064e-16  # 2 pi - float(2 pi)
+# FINUFFT's shape rule at oversampling 4 = Mr / 2 jc, the band's width for odd n_out too.
+_BETA = 0.97 * math.pi * (2 * _SPREAD + 1) * (1.0 - 1.0 / 8.0)
+_ROOT8 = np.exp(-0.25j * math.pi * np.arange(8))  # exp(-i pi n / 4) by n mod 8
 _CELL = 0.2  # ell-cell width times max|t_j| (at most 1 wide): |t_j delta| <= 0.1
 _ORDERS = 9  # Taylor orders 0..8 per cell
 TAYLOR_ACCURACY = math.exp(0.1) * 0.1**_ORDERS / math.factorial(_ORDERS)
@@ -47,18 +56,17 @@ class NufftSum:
         if n_out < 1:
             raise ValueError("n_out must be positive")
         self.t0, self.dt, self.n_out = float(t0), float(dt), int(n_out)
-        M = 2 * self.n_out
-        self.Mr = _RATIO * M
-        self.spread = _SPREAD
-        self.tau = math.pi * _SPREAD / (M * M * _RATIO * (_RATIO - 0.5))
-        self.h = 2.0 * math.pi / self.Mr
+        self.Mr = 8 * -(-self.n_out // 2)  # jc = Mr / 8 makes jc n h = pi n / 4 exactly
+        self.jc, self.spread, self.h = self.Mr // 8, _SPREAD, 2.0 * math.pi / self.Mr
+        self.alpha = (_SPREAD + 0.5) * self.h
         # h = h_hi + h_lo to double-double; n * h_hi is exact for |n| < 2**29.
         self._h_hi = float(np.float32(self.h))
         self._h_lo = ((2.0 * math.pi - self._h_hi * self.Mr) + _TWO_PI_LO) / self.Mr
         self._width = _CELL / max(abs(self.t0), abs(self.t0 + (self.n_out - 1) * self.dt), _CELL)
         self.shape = tuple(shape)
         # Axis 0 is the Taylor order; it grows to _ORDERS on the first dense cell.
-        self._grid = np.zeros((1,) + self.shape + (self.Mr,), dtype=np.complex128)
+        # Grid point i sits at i - spread: finish() wraps the 2 spread end points.
+        self._grid = np.zeros((1,) + self.shape + (self.Mr + 2 * _SPREAD,), dtype=np.complex128)
 
     def add(self, ell: np.ndarray, w: np.ndarray) -> None:
         """Spread sources: frequencies ell (shape (K,)), weights w (*shape, K), real or complex."""
@@ -96,35 +104,45 @@ class NufftSum:
         self._spread(self._grid, self.dt * centre, np.array(moments) * twist)
 
     def _spread(self, grid, phi, c) -> None:
-        """Add the Gaussian-gridded sources c (*S, K) at phases phi into grids (*S, Mr),
-        all grid offsets in one bincount per row and part: O(Mr) per row, not per offset."""
-        tau, h, Mr = self.tau, self.h, self.Mr
-        n = np.rint(phi / h)  # phi = n h - d, with d in [-h/2, h/2]
-        d = -((phi - n * self._h_hi) - n * self._h_lo)
-        S, m = self.spread, np.arange(-self.spread, self.spread + 1)
-        idx = (np.mod(-n.astype(np.int64), Mr) + np.mod(m, Mr)[:, None]).ravel()
-        idx[idx >= Mr] -= Mr
-        # exp(-(d - m h)^2 / 4 tau) = exp(-d^2 / 4 tau) E1^m exp(-(m h)^2 / 4 tau), out from m = 0.
-        G = np.empty((2 * S + 1, phi.shape[0]))
-        G[S], E1 = np.exp(-d * d / (4.0 * tau)), np.exp(d * h / (2.0 * tau))
-        for k in range(1, S + 1):
-            G[S + k], G[S - k] = G[S + k - 1] * E1, G[S - k + 1] / E1
-        G *= np.exp(-((m * h) ** 2) / (4.0 * tau))[:, None]
+        """Add the ES-gridded sources c (*S, K), twisted by exp(-i jc phi), at phases phi
+        into grids (*S, Mr + 2 spread), all grid offsets in one bincount per row and part."""
+        h, S, L = self.h, self.spread, self.Mr + 2 * self.spread
+        n = np.rint(phi / h)  # phi = n h + d, with d in [-h/2, h/2]
+        d = (phi - n * self._h_hi) - n * self._h_lo
+        n = n.astype(np.int64)
+        c = c * (_ROOT8[n & 7] * np.exp(-1j * self.jc * d))
+        idx = (np.mod(n, self.Mr) + np.arange(2 * S + 1)[:, None]).ravel()
+        # The kernel at z = (m h - d) / alpha, m = -S..S, in place.
+        G = 1.0 - np.subtract.outer(np.arange(-S, S + 1) * (h / self.alpha), d / self.alpha) ** 2
+        G = np.exp(_BETA * (np.sqrt(np.maximum(G, 0.0, out=G), out=G) - 1.0), out=G)
         for r in np.ndindex(c.shape[:-1]):
-            grid.real[r] += np.bincount(idx, weights=(G * c[r].real).ravel(), minlength=Mr)
-            grid.imag[r] += np.bincount(idx, weights=(G * c[r].imag).ravel(), minlength=Mr)
+            grid.real[r] += np.bincount(idx, weights=(G * c[r].real).ravel(), minlength=L)
+            grid.imag[r] += np.bincount(idx, weights=(G * c[r].imag).ravel(), minlength=L)
 
     def finish(self) -> np.ndarray:
         """Modes 0..n_out-1 (*shape, n_out). The accumulator stays valid for further add()s."""
-        spectrum = np.fft.ifft(self._grid)
-        j = np.arange(self.n_out, dtype=np.float64)
-        deconv = math.sqrt(math.pi / self.tau) * np.exp(j * j * self.tau)
-        modes = spectrum[..., : self.n_out] * deconv
-        t = self.t0 + self.dt * j
+        S, Mr = self.spread, self.Mr
+        grid = self._grid[..., S:Mr + S].copy()
+        grid[..., Mr - S:] += self._grid[..., :S]
+        grid[..., :S] += self._grid[..., Mr + S:]
+        k = np.arange(self.n_out) - self.jc
+        z, wphi = _es_nodes()
+        deconv = self.h / (self.alpha * (np.cos(np.outer(k * self.alpha, z)) @ wphi))
+        modes = np.fft.fft(grid)[..., np.mod(k, Mr)] * deconv
+        t = self.t0 + self.dt * np.arange(self.n_out, dtype=np.float64)
         out = modes[-1]
         for mode in modes[-2::-1]:  # Horner in -i t_j over the Taylor orders
             out = mode + (-1j * t) * out
         return out
+
+
+@functools.cache
+def _es_nodes():
+    """22 = 2 + ceil(1.5 (2 _SPREAD + 1)) Gauss-Legendre nodes z on (0, 1), 2 weight kernel(z):
+    the kernel's Fourier transform 2 int_0^1 kernel(z) cos(xi z) dz is their cos(xi z) sum."""
+    x, w = np.polynomial.legendre.leggauss(2 + math.ceil(1.5 * (2 * _SPREAD + 1)))
+    z = 0.5 * (x + 1.0)
+    return z, w * np.exp(_BETA * (np.sqrt(1.0 - z * z) - 1.0))
 
 
 def _split(x):

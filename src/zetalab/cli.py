@@ -198,6 +198,7 @@ def cmd_dist(p: dict, workers: int, seed: int, tol: float):
     ks = lab.disk_cdf_sup(sset)
     if chf_r is not None:
         axis = np.linspace(-chf_r, chf_r, p["chf_n"])
+        axis = 0.5 * (axis - axis[::-1])  # exactly antisymmetric, as lab's default
         chf_dev = lab.chf_deviation_grid(sset, axis, axis)
     else:
         chf_dev = lab.chf_deviation_grid(sset)

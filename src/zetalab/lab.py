@@ -237,8 +237,8 @@ def empirical_chf_grid(sset: LineSampleSet, u_axis, v_axis,
     """
     u = np.atleast_1d(np.asarray(u_axis, dtype=float))
     v = np.atleast_1d(np.asarray(v_axis, dtype=float))
-    if chunk < 1 or not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-        raise DomainError(f"empirical chf needs finite axes and chunk >= 1, got chunk={chunk!r}")
+    if not hasattr(chunk, "__index__") or chunk < 1 or not np.isfinite(np.r_[u, v]).all():
+        raise DomainError(f"empirical chf needs finite axes and integer chunk >= 1, got {chunk!r}")
     z = sset.ok_samples()
     if z.size == 0:
         raise DomainError("empirical chf of an empty sample set")
@@ -285,6 +285,7 @@ def chf_deviation_grid(sset: LineSampleSet, u_axis=None, v_axis=None) -> dict:
         if ctx is not None:
             r = min(1.0, ctx.Omega)
         axis = np.linspace(-r, r, 11)
+        axis = 0.5 * (axis - axis[::-1])  # exactly antisymmetric, so the grid is Hermitian
         u_axis = axis if u_axis is None else u_axis
         v_axis = axis if v_axis is None else v_axis
     u_axis = np.atleast_1d(np.asarray(u_axis, dtype=float))

@@ -10,8 +10,9 @@ The engine is Euler-Maclaurin summation
 differentiated analytically for zeta' and zeta''. The remainder is bounded
 by the first neglected (k = 15) term times |s+29|/(sigma+29) (Backlund).
 With fourteen corrections the main sum stops near 0.3-0.4 max|t|:
-_truncation picks N for a block of points as the first rung of a x1.25
-ladder from max|t|/2pi whose remainders are all at most tol/4. A scalar is a
+_truncation solves for a block's N from the remainders at max|t|/2pi,
+which fall like N^-(sigma+29), and raises it in 2% steps until they (on a
+grid, with the NUFFT and Taylor terms too) are at most tol/4. A scalar is a
 one-point block, accepted only when its values at N and 2N agree within
 tol/2 and the remainder at 2N is below tol/2. log_deriv_band, the one
 zeta'/zeta evaluator along a line, takes an equispaced t (_nufft.grid_step)
@@ -142,11 +143,13 @@ def _em_rems(sigma: float, s: np.ndarray, N: int, last, n_derivs: int):
     return [np.abs(term) * fac for term in _times_N_power(*last, math.log(N), n_derivs)]
 
 
-def _truncation(sigma: float, t: np.ndarray, tol: float, n_derivs: int):
-    """(N, rems) for a block of points: the first N of the ladder
-    max(16, ceil(max|t|/2pi)) * 1.25^j at which every Euler-Maclaurin
-    remainder is at most tol/4, else the last rung, 16 max(16, 1.25 max|t|),
-    with its rems. Rejects a non-finite sigma or t and the pole before any sum."""
+def _truncation(sigma: float, t: np.ndarray, tol: float, n_derivs: int,
+                floor=lambda N: (0.0,) * 3):
+    """(N, rems) for a block of points: N solved from the remainders at
+    max(16, ceil(max|t|/2pi)), which fall like N^-(sigma+29), then raised in 2%
+    steps until every remainder r is at most tol/4, and so is r + floor(N)[d]
+    wherever the caller's other error terms floor(N)[d] are; else the cap 16
+    max(16, 1.25 max|t|). Rejects a non-finite sigma or t and the pole before any sum."""
     t = _check_t(t)
     if not math.isfinite(sigma):
         raise DomainError(f"sigma must be finite, got {sigma:g}")
@@ -157,11 +160,15 @@ def _truncation(sigma: float, t: np.ndarray, tol: float, n_derivs: int):
         raise PrecisionError(f"|t| = {t_top:g} exceeds the height cap {HEIGHT_CAP:g}")
     s, N = sigma + 1j * t, max(16, math.ceil(t_top / (2.0 * math.pi)))
     last, N_last = _rising(s)[-1], 16 * max(16, int(1.25 * t_top) + 1)
+    q = 0.25 * tol
+    worst = max(float(np.max(r)) for r in _em_rems(sigma, s, N, last, n_derivs)) / q
+    N = min(N_last, math.ceil(N * max(1.0, worst) ** (1.0 / (sigma + 29.0))))
     while True:
         rems = _em_rems(sigma, s, N, last, n_derivs)
-        if N == N_last or all(np.all(r <= 0.25 * tol) for r in rems):
+        if N == N_last or all(np.all(r <= q) for r in rems) and all(
+                np.all((r + f <= q) | (f > q)) for r, f in zip(rems, floor(N))):
             return N, rems
-        N = min(N_last, math.ceil(1.25 * N))
+        N = min(N_last, math.ceil(1.02 * N))
 
 
 def _em_point(sigma: float, t: float, tol: float, n_derivs: int):
@@ -276,29 +283,32 @@ def log_deriv_band(sigma: float, t: np.ndarray, tol: float = 1e-9):
         raise DomainError(f"log_deriv_band needs a 1-d t, got the scalar {float(t):g}")
     step = grid_step(t)
     if step is not None:
-        N, rems = _truncation(sigma, t, tol, 1)
+        (t0, dt), n_pts = step, t.shape[0]
+        # delta = t - (t0 + j*dt) exactly: Knuth's two-sum for t - t0 and
+        # Dekker's two-product for j*dt (j < 2**26 needs no split).
+        j = np.arange(n_pts, dtype=np.float64)
+        diff, p = t - t0, j * dt
+        b = diff - t
+        e_diff = (t - (diff - b)) + (-t0 - b)
+        hi = 134217729.0 * dt - (134217729.0 * dt - dt)
+        delta = (diff - p) + (e_diff - ((j * hi - p) + j * (dt - hi)))
+
+        def extra(B):  # the NufftSum and Taylor terms of S_0's and S_1's bounds
+            return [RELATIVE_ACCURACY * (B[k] + np.abs(delta) * B[k + 1])
+                    + 0.5 * delta**2 * B[k + 2] for k in range(2)]
+        N, rems = _truncation(sigma, t, tol, 1, lambda N: extra(
+            sum(w.sum(axis=1) for _, w in _terms(sigma, N, 4))))
     if step is None or N <= BAND:
         (z0, z1), rems = _em_bands(sigma, t, tol, 1)
         return _quotient(z0, z1, rems, tol)
-    (t0, dt), n_pts = step, t.shape[0]
     acc = NufftSum(t0, dt, n_pts, shape=(3,))
     B = np.zeros(4)  # sum_{n<N} n^-sigma log^k n, the bounds of |S_k|
     for ln, w in _terms(sigma, N, 4):
         B += w.sum(axis=1)
         acc.add(ln, w[:3])
     S0, S1, S2 = acc.finish()
-    # delta = t - (t0 + j*dt) exactly: Knuth's two-sum for t - t0 and
-    # Dekker's two-product for j*dt (j < 2**26 needs no split).
-    j = np.arange(n_pts, dtype=np.float64)
-    diff, p = t - t0, j * dt
-    b = diff - t
-    e_diff = (t - (diff - b)) + (-t0 - b)
-    hi = 134217729.0 * dt - (134217729.0 * dt - dt)
-    delta = (diff - p) + (e_diff - ((j * hi - p) + j * (dt - hi)))
     (z0, z1), _ = _em_tail(sigma, t, N, [S0 - 1j * delta * S1, S1 - 1j * delta * S2])
-    errs = [r + RELATIVE_ACCURACY * (B[k] + np.abs(delta) * B[k + 1])
-            + 0.5 * delta**2 * B[k + 2] for k, r in enumerate(rems)]
-    return _quotient(z0, z1, errs, tol)
+    return _quotient(z0, z1, [r + e for r, e in zip(rems, extra(B))], tol)
 
 
 def _check_t(t) -> np.ndarray:

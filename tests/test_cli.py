@@ -397,6 +397,20 @@ def test_dist_command_small(tmp_path):
     assert len(dev) == 26
 
 
+def test_dist_chf_r_axis_is_antisymmetric(tmp_path):
+    # --chf_r at Omega of `dist --T 1e5 --psi 15`: the 11-point axis is
+    # exactly antisymmetric (6 distinct |u|) and the tabulated grid Hermitian.
+    omega = variance.make_context(psi=15.0, T=1.0e5).Omega
+    assert main(["dist", "--T", "1e5", "--psi", "15", "--count", "300", "--chf_r", repr(omega),
+                 "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "dist_chf_dev.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    u, re, im = (np.array([float(r[k]) for r in rows]).reshape(11, 11) for k in ("u", "re", "im"))
+    assert u[-1, 0] == omega and np.array_equal(u[:, 0], -u[::-1, 0])
+    assert np.unique(np.abs(u)).size == 6
+    assert np.array_equal(re, re[::-1, ::-1]) and np.array_equal(im, -im[::-1, ::-1])
+
+
 def test_dist_worker_byte_determinism(tmp_path):
     argv = ["dist", "--T", "1000", "--sigma", "2", "--t_lo", "50",
             "--t_hi", "500", "--count", "2500"]

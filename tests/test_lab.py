@@ -171,7 +171,7 @@ def test_chf_grid_rejects_non_finite_axes_and_bad_chunk(gauss_20k):
             lab.empirical_chf_grid(gauss_20k, [0.1, bad], [0.2])
         with pytest.raises(DomainError):
             lab.empirical_chf_grid(gauss_20k, [0.1], [bad])
-    for chunk in (0, -4):
+    for chunk in (0, -4, 2.5):
         with pytest.raises(DomainError):
             lab.empirical_chf_grid(gauss_20k, [0.1], [0.2], chunk=chunk)
     assert lab.empirical_chf_grid(gauss_20k, [], [0.2, 0.3]).shape == (0, 2)
@@ -215,6 +215,18 @@ def test_chf_deviation_grid(gauss_20k, ctx_desk):
     assert out2["sup_abs_dev"] == max(rec["abs_dev"] for rec in out2["records"])
     assert out2["sup_dev_over_envelope"] == max(rec["dev_over_envelope"]
                                                 for rec in out2["records"])
+
+
+def test_default_chf_axis_is_antisymmetric(ctx_desk):
+    # r = Omega of `dist --T 1e5 --psi 15`, where linspace(-r, r, 11) is
+    # not exactly antisymmetric: the axis folds to 6 distinct |u|, and the
+    # grid is exactly Hermitian.
+    out = lab.chf_deviation_grid(lab.synthetic_gaussian_set(2000, context=ctx_desk))
+    u, v, re, im = (np.array([rec[k] for rec in out["records"]]).reshape(11, 11)
+                    for k in ("u", "v", "re", "im"))
+    assert u[-1, 0] == ctx_desk.Omega and np.array_equal(u[:, 0], -u[::-1, 0])
+    assert np.array_equal(v[0], u[:, 0]) and np.unique(np.abs(u)).size == 6
+    assert np.array_equal(re, re[::-1, ::-1]) and np.array_equal(im, -im[::-1, ::-1])
 
 
 def test_rectangle_report_against_gaussian(gauss_100k):

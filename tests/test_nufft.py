@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetalab._nufft import RELATIVE_ACCURACY, TAYLOR_ACCURACY, NufftSum, grid_step
+from zetalab._nufft import (_BETA, RELATIVE_ACCURACY, TAYLOR_ACCURACY, NufftSum, _es_nodes,
+                            grid_step)
 from zetalab.arith import lambda_segments
 
 BOUND = RELATIVE_ACCURACY + TAYLOR_ACCURACY
@@ -58,6 +59,46 @@ def test_unit_source_matches_mpmath(n_out):
             with mp.workdps(40):
                 want = complex(mp.exp(-1j * j * mp.mpf(phi)))
             assert abs(out[j] - want) <= RELATIVE_ACCURACY, (phi, j)
+
+
+@pytest.mark.parametrize("n_out", [257, 1001, 1500, 20000])
+def test_unit_source_error_is_a_tenth_of_the_bound(n_out):
+    # The ES kernel leaves RELATIVE_ACCURACY a factor 10 of room on one unit
+    # source, at the band's ends (modes 0 and n_out - 1, the kernel's worst)
+    # and either side of its centre jc, for odd and even n_out.
+    jc = NufftSum(0.0, 1.0, n_out).jc
+    worst = 0.0
+    for phi in (-799.3, -3.1, 0.7, 2.0 * math.pi, 123.456, 799.9):
+        out = _run(n_out, [(np.array([phi]), np.array([1.0 + 0.0j]))])
+        for j in (0, jc - 1, jc, n_out - 1):
+            with mp.workdps(40):
+                want = complex(mp.exp(-1j * j * mp.mpf(phi)))
+            worst = max(worst, abs(out[j] - want))
+    assert worst <= RELATIVE_ACCURACY / 10
+
+
+def test_kernel_transform_matches_mpmath_quad():
+    # 2 int_0^1 exp(beta (sqrt(1 - z^2) - 1)) cos(xi z) dz at 0, the middle and
+    # both ends of the band k alpha, k = j - jc, j < n_out.
+    acc = NufftSum(0.0, 1.0, 1500)
+    xi = np.array([0.0, -acc.jc, acc.n_out // 2 - acc.jc, acc.n_out - 1 - acc.jc]) * acc.alpha
+    z, wphi = _es_nodes()
+    got = np.cos(np.outer(xi, z)) @ wphi
+    for x, g in zip(xi, got):
+        with mp.workdps(30):
+            want = 2 * mp.quad(lambda z: mp.exp(_BETA * (mp.sqrt(1 - z * z) - 1)) * mp.cos(x * z),
+                               [0, 0.5, 0.9, 0.99, 1])
+        assert abs(g - want) <= 1e-14 * abs(want), x
+
+
+@pytest.mark.parametrize("n_out", [1, 257, 1500])
+def test_stencil_and_grid_size(n_out):
+    # The benchmark's tracer reads spread and Mr: one source lands on
+    # 2 spread + 1 grid points of a grid of Mr >= 4 n_out, a multiple of 8.
+    acc = NufftSum(0.0, 1.0, n_out)
+    acc.add(np.array([0.3]), np.array([1.0]))
+    assert acc.spread == 6 and acc.Mr % 8 == 0 and acc.Mr >= 4 * n_out
+    assert np.count_nonzero(acc._grid) == 2 * acc.spread + 1
 
 
 @pytest.mark.parametrize("n_out, dt", [(1000, 0.25), (257, 0.9)])
