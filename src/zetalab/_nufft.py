@@ -22,9 +22,13 @@ Anderson-Dahleh). Cells are 0.2 / max|t_j| wide (at most 1), so |t_j delta|
 twist and is spread at its phase; a cell with several takes the twist once,
 at c (t0 c exact by Dekker's two-product), and is spread at dt c as
 exp(-i t0 c) M_k, M_k = sum w delta^k / k!, k < 9 (real for real w), each
-into its own Taylor-order grid (allocated at the first such cell); finish()
+into its own Taylor-order grid (allocated when first needed); finish()
 sums (-i t_j)^k mode_k by Horner's rule. The truncation adds at most
-TAYLOR_ACCURACY * sum |w| (3.05e-15).
+TAYLOR_ACCURACY * sum |w| (3.05e-15). add(ell, w, tol) spends an absolute
+budget instead: orders 0..K-1 only, K the fewest whose remainder
+0.1^K / K! * sum |w| (|e^{ix} - its first K terms| <= |x|^K / K!) is at
+most tol; if nine orders do not fit, the cells narrow to |t_j delta| <= tau
+with tau^9 / 9! * sum |w| <= tol. The bounds spent add up in taylor_bound.
 
 Spreading is additive, so callers stream sources segment by segment and the
 FFT runs once at the end; results do not depend on batching or order, up to
@@ -62,19 +66,32 @@ class NufftSum:
         # h = h_hi + h_lo to double-double; n * h_hi is exact for |n| < 2**29.
         self._h_hi = float(np.float32(self.h))
         self._h_lo = ((2.0 * math.pi - self._h_hi * self.Mr) + _TWO_PI_LO) / self.Mr
-        self._width = _CELL / max(abs(self.t0), abs(self.t0 + (self.n_out - 1) * self.dt), _CELL)
+        self._tmax = max(abs(self.t0), abs(self.t0 + (self.n_out - 1) * self.dt), _CELL)
+        self.taylor_bound = 0.0  # Taylor remainder bounds spent by add(..., tol)
         self.shape = tuple(shape)
-        # Axis 0 is the Taylor order; it grows to _ORDERS on the first dense cell.
+        # Axis 0 is the Taylor order; it grows to the most orders a dense cell takes.
         # Grid point i sits at i - spread: finish() wraps the 2 spread end points.
         self._grid = np.zeros((1,) + self.shape + (self.Mr + 2 * _SPREAD,), dtype=np.complex128)
 
-    def add(self, ell: np.ndarray, w: np.ndarray) -> None:
-        """Spread sources: frequencies ell (shape (K,)), weights w (*shape, K), real or complex."""
+    def add(self, ell: np.ndarray, w: np.ndarray, tol: float | None = None) -> None:
+        """Spread sources: frequencies ell (shape (K,)), weights w (*shape, K), real or complex.
+        With tol > 0, each row's Taylor remainder is at most tol (see the module docstring)."""
         ell = np.asarray(ell, dtype=np.float64)
         w = np.asarray(w, dtype=np.complex128 if np.iscomplexobj(w) else np.float64)
         if ell.ndim != 1 or w.shape != self.shape + ell.shape:
             raise ValueError("w must have shape (*shape, len(ell))")
-        cell = np.floor(ell / self._width)
+        orders, tau = _ORDERS, 0.5 * _CELL  # |t_j delta| <= tau in a cell 2 tau / max|t_j| wide
+        if tol is not None:
+            if not tol > 0:
+                raise ValueError("tol must be positive")
+            mass = float(np.max(np.sum(np.abs(w), axis=-1), initial=0.0))
+            orders = next((k for k in range(1, _ORDERS)
+                           if tau**k / math.factorial(k) * mass <= tol), _ORDERS)
+            if mass:  # narrower cells where nine orders do not fit (0.999: the root rounds)
+                tau = min(tau, 0.999 * (math.factorial(orders) * tol / mass) ** (1.0 / orders))
+            self.taylor_bound += tau**orders / math.factorial(orders) * mass
+        width = 2.0 * tau / self._tmax
+        cell = np.floor(ell / width)
         if np.any(cell[1:] < cell[:-1]):
             order = np.argsort(cell, kind="stable")
             ell, w, cell = ell[order], np.take(w, order, axis=-1), cell[order]
@@ -88,20 +105,21 @@ class NufftSum:
         lone = ell[one]
         self._spread(self._grid[0], self.dt * lone,
                      np.take(w, one, axis=-1) * np.exp(-1j * self.t0 * lone))
-        if self._grid.shape[0] == 1:
-            self._grid = np.pad(self._grid, [(0, _ORDERS - 1)] + [(0, 0)] * (1 + len(self.shape)))
-        centre = (cell[starts[dense]] + 0.5) * self._width
+        if self._grid.shape[0] < orders:
+            self._grid = np.pad(self._grid, [(0, orders - self._grid.shape[0])]
+                                + [(0, 0)] * (1 + len(self.shape)))
+        centre = (cell[starts[dense]] + 0.5) * width
         keep = np.repeat(dense, counts)
         delta = ell[keep] - np.repeat(centre, counts[dense])
         term, at = np.compress(keep, w, axis=-1), np.cumsum(counts[dense]) - counts[dense]
         moments = [np.add.reduceat(term, at, axis=-1)]
-        for k in range(1, _ORDERS):
+        for k in range(1, orders):
             term = term * (delta / k)
             moments.append(np.add.reduceat(term, at, axis=-1))
         p, (ah, al), (bh, bl) = self.t0 * centre, _split(self.t0), _split(centre)
         e = ((ah * bh - p) + ah * bl + al * bh) + al * bl  # t0 c = p + e exactly (Dekker)
         twist = np.exp(-1j * p) * (1.0 - 1j * e)  # once per cell; the moments stay real for real w
-        self._spread(self._grid, self.dt * centre, np.array(moments) * twist)
+        self._spread(self._grid[:orders], self.dt * centre, np.array(moments) * twist)
 
     def _spread(self, grid, phi, c) -> None:
         """Add the ES-gridded sources c (*S, K), twisted by exp(-i jc phi), at phases phi

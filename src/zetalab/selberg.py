@@ -3,6 +3,11 @@ local validity threshold sigma_xt, the prime-power Dirichlet polynomial
 prime_poly (plain or weighted), and residual scans quantifying how well the
 weighted polynomial tracks -zeta'/zeta along a line.
 
+prime_poly takes an absolute error budget tol: it stops its prime stream
+where a Chebyshev tail bound (psi(u) < 1.03883 u) reaches tol/8 and gives
+each sieve segment's NUFFT add an even share of another tol/8 for its Taylor
+orders. The scan passes its own tol and reports the cut and the bound spent.
+
 The weight is 1 up to x, then decays through two quadratic-in-log branches
 and vanishes beyond x^3, staying inside [0, 1] with continuous joins. The
 threshold sigma_xt gates where the approximation is trusted: it exceeds 1/2
@@ -16,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._nufft import NufftSum, exp_sum_direct, grid_step
-from .arith import lambda_segments
+from ._nufft import RELATIVE_ACCURACY, TAYLOR_ACCURACY, NufftSum, exp_sum_direct, grid_step
+from .arith import _SEGMENT_SIZE, lambda_segments
 from .errors import CoverageError, DomainError
 from .zeta import ZeroList, log_deriv_band
 
@@ -134,7 +139,7 @@ class ScanResult:
     summary: dict
 
 
-def prime_poly(sigma: float, t, x: float, weighted: bool = False):
+def prime_poly(sigma: float, t, x: float, weighted: bool = False, tol: float = 0.0):
     """sum_n a(n) Lambda(n) n^{-sigma-it}: a = 1 on n <= x, or a = w_x(n) on n <= x^3.
 
     t is a float (complex result) or a 1-d array. Prime powers stream from
@@ -142,25 +147,78 @@ def prime_poly(sigma: float, t, x: float, weighted: bool = False):
     coefficient a(n) Lambda(n) exp(-sigma log n) from one log. Equispaced t
     (grid_step) go through NufftSum at the frequencies log n (one add per sieve
     segment, one FFT); other t are summed directly segment by segment.
+
+    tol = 0 sums every term. tol > 0 is an absolute budget, and the result
+    stays within tol/4 of the full sum: the stream stops at the cut of
+    _tail_cut, whose tail bound is at most tol/8, and on the NUFFT route each
+    segment's add spends an even share of tol/8 on its Taylor orders.
+    A non-finite sigma, t or tol, or a negative tol, raises DomainError.
     """
     ts = np.asarray(t, dtype=np.float64)
-    grid = np.atleast_1d(ts)
+    out = _poly_sum(sigma, np.atleast_1d(ts), x, weighted, tol)[0]
+    return complex(out[0]) if ts.ndim == 0 else out
+
+
+# psi(u) < 1.03883 u for every u > 0 (Rosser & Schoenfeld, Illinois J. Math. 6 (1962), Thm 12).
+_PSI_RATIO = 1.03883
+_TAIL_STEP = 1e-3  # node spacing in log u: the left sums exceed the integral by about 0.1%
+
+
+def _tail_cut(sigma: float, x: float, weighted: bool, budget: float):
+    """(y, bound): the least node y = e^{k h}, h = _TAIL_STEP, whose bound on the tail
+    sum_{y < n <= top} a(n) Lambda(n) n^-sigma (top = x^3 weighted, else x) is at most
+    budget, and that bound; (top, 0.0) when no node's is, or for sigma < 0.
+
+    For sigma >= 0, f(u) = a(u) u^-sigma is nonnegative and nonincreasing, so
+    partial summation against psi(u) < 1.03883 u bounds the tail by
+    1.03883 (y f(y) + int_y^top f(u) du). The integral is replaced by its left
+    sum over the nodes, an upper bound because f is nonincreasing.
+    """
+    top = x**3 if weighted else x
+    if not (sigma >= 0 and budget > 0 and top > 2):
+        return top, 0.0
+    ell = np.arange(0.0, math.log(top), _TAIL_STEP)
+    u = np.append(np.exp(ell), top)
+    f = np.exp(-sigma * ell)
+    if weighted:
+        f *= _weight_of_log(ell, float(np.log(x)))
+    integral = np.cumsum((f * np.diff(u))[::-1])[::-1]
+    bound = _PSI_RATIO * (u[:-1] * f + integral)
+    fits = np.flatnonzero(bound <= budget)
+    return (float(u[fits[0]]), float(bound[fits[0]])) if fits.size else (top, 0.0)
+
+
+def _poly_sum(sigma: float, grid: np.ndarray, x: float, weighted: bool, tol: float):
+    """(values, y, bound): prime_poly on the 1-d grid with budget tol, the point y
+    where its stream stops, and a bound on its distance to the full sum: the tail
+    bound, the Taylor remainders spent and RELATIVE_ACCURACY * sum |c|."""
+    if not (math.isfinite(sigma) and math.isfinite(x) and np.all(np.isfinite(grid))):
+        raise DomainError(f"prime_poly requires finite sigma, x and t, got sigma={sigma!r}, x={x!r}")
+    if not (tol >= 0 and math.isfinite(tol)):
+        raise DomainError(f"prime_poly requires a finite tol >= 0, got {tol!r}")
     L = float(np.log(SelbergWeightSpec(x=x).x)) if weighted else None  # checks x
+    y, tail = _tail_cut(sigma, x, weighted, tol / 8)
+    # An even share of tol/8 per segment of lambda_segments(1, y); None keeps nine orders.
+    budget = tol / 8 / max(1, -(-(int(y) - 1) // _SEGMENT_SIZE)) if tol > 0 else None
     step = grid_step(grid)
     if step is not None:
         acc = NufftSum(*step, grid.shape[0])
     else:
         out = np.zeros(grid.shape[0], dtype=np.complex128)
-    for value, logp in lambda_segments(1, x**3 if weighted else x):
+    mass = 0.0  # sum |c|: no coefficient is negative
+    for value, logp in lambda_segments(1, y):
         lv = np.log(value.astype(np.float64))
         coeff = (_weight_of_log(lv, L) * logp if weighted else logp) * np.exp(-sigma * lv)
+        mass += float(np.sum(coeff))
         if step is not None:
-            acc.add(lv, coeff)
+            acc.add(lv, coeff, tol=budget)
         else:
             out += exp_sum_direct(lv, coeff, grid)
+    taylor = 0.0
     if step is not None:
         out = acc.finish()
-    return complex(out[0]) if ts.ndim == 0 else out
+        taylor = acc.taylor_bound if budget else TAYLOR_ACCURACY * mass
+    return out, y, tail + taylor + RELATIVE_ACCURACY * mass
 
 
 def convergent_tail_bound(sigma: float, x: float) -> float:
@@ -209,7 +267,7 @@ def explicit_formula_scan(
     flags[(flags == 0) & (engine_flags != 0)] = 2
     lhs = -lhs_raw
 
-    poly = prime_poly(sigma, t, x, weighted=True)
+    poly, poly_terms_to, poly_error_bound = _poly_sum(sigma, t, x, True, tol)
     ok = flags == 0
     residual = np.where(ok, lhs - poly, np.nan + 1j * np.nan)
     bound = x ** ((0.5 - sigma) / 2.0) * (np.abs(poly) + np.log(t))
@@ -231,6 +289,8 @@ def explicit_formula_scan(
         "convergent_tail_bound": (
             convergent_tail_bound(sigma, x) if sigma > 1.0 else None
         ),
+        "poly_terms_to": poly_terms_to,
+        "poly_error_bound": poly_error_bound,
     }
     return ScanResult(
         t=t, lhs=lhs, poly=poly, residual=residual, bound=bound, flags=flags,

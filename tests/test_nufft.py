@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetalab._nufft import (_BETA, RELATIVE_ACCURACY, TAYLOR_ACCURACY, NufftSum, _es_nodes,
-                            grid_step)
+                            exp_sum_direct, grid_step)
 from zetalab.arith import lambda_segments
 
 BOUND = RELATIVE_ACCURACY + TAYLOR_ACCURACY
@@ -149,6 +149,53 @@ def test_real_weights_on_a_grid_match_long_double(t0, dt, n_out):
     modes = np.unique(np.r_[np.arange(8), np.arange(n_out - 8, n_out)])
     t = np.longdouble(t0) + np.longdouble(dt) * modes.astype(np.longdouble)
     assert np.max(np.abs(out[modes] - _direct_long_double(ell, w, t))) <= BOUND * np.sum(w)
+
+
+@pytest.mark.parametrize("budget, orders", [
+    (1e-4, 3), (1e-6, 4), (1e-9, 6), (1e-13, 8),
+    (1e-16, 9),  # below 0.1^9 / 9! * sum w = 2.6e-16: nine orders in narrower cells
+])
+def test_budgeted_add_within_its_budget(budget, orders):
+    # The scan's t range over (1e7, 1.1e7]: the fewest Taylor orders whose
+    # remainder fits the budget, and an error of at most the budget plus the
+    # NUFFT certificate against the direct sum.
+    ell, w = _prime_power_sources()
+    t = 50.0 + 0.25 * np.arange(1000)  # exact in binary, so t_j = t0 + j dt in both sums
+    acc = NufftSum(50.0, 0.25, t.size)
+    acc.add(ell, w, tol=budget)
+    assert acc._grid.shape[0] == orders and 0.0 < acc.taylor_bound <= budget
+    modes = np.unique(np.r_[np.arange(8), np.arange(t.size - 8, t.size)])
+    err = np.max(np.abs(acc.finish()[modes] - exp_sum_direct(ell, w, t[modes])))
+    assert err <= budget + RELATIVE_ACCURACY * np.sum(w)
+
+
+def test_budgeted_add_is_sharp_at_a_cell_edge():
+    # Two unit sources near the top edge of one cell reach |t_j delta| = 0.0996
+    # at the last mode: the error there nearly attains the remainder bound
+    # spent, so the orders kept are the fewest that fit.
+    width = 0.2 / 999
+    ell = (7.0 + np.array([0.998, 0.999])) * width
+    for budget, orders in ((1e-3, 3), (1e-6, 5), (1e-9, 7)):
+        acc = NufftSum(0.0, 1.0, 1000)
+        acc.add(ell, np.ones(2), tol=budget)
+        err = abs(acc.finish()[-1] - exp_sum_direct(ell, np.ones(2), np.array([999.0]))[0])
+        assert acc._grid.shape[0] == orders
+        assert 0.9 * acc.taylor_bound <= err <= acc.taylor_bound + 2 * RELATIVE_ACCURACY <= budget
+
+
+def test_add_without_budget_keeps_nine_orders_in_default_cells():
+    # tol=None keeps nine orders in cells 0.2 / max|t_j| wide: bit for bit the
+    # budgeted add whose budget just admits that width at nine orders.
+    ell, w = _prime_power_sources()
+    nine = 0.1**9 / math.factorial(9) * np.sum(w)
+    plain, budgeted = NufftSum(50.0, 0.25, 1000), NufftSum(50.0, 0.25, 1000)
+    plain.add(ell, w)
+    budgeted.add(ell, w, tol=1.01 * nine)
+    assert plain._grid.shape[0] == budgeted._grid.shape[0] == 9
+    assert np.array_equal(plain.finish(), budgeted.finish())
+    assert plain.taylor_bound == 0.0 and budgeted.taylor_bound == pytest.approx(nine, rel=1e-12)
+    with pytest.raises(ValueError):
+        plain.add(ell, w, tol=0.0)
 
 
 @settings(max_examples=200, deadline=None)

@@ -17,6 +17,8 @@ from zetalab.errors import CoverageError, DomainError
 from zetalab.selberg import (
     ScanResult,
     SelbergWeightSpec,
+    _poly_sum,
+    _tail_cut,
     convergent_tail_bound,
     explicit_formula_scan,
     prime_poly,
@@ -283,6 +285,54 @@ def test_grid_poly_degenerate_grids():
             assert np.max(np.abs(prime_poly(1.5, t, 50.0, weighted) - want)) <= 1e-12
 
 
+def test_prime_poly_rejects_non_finite_input():
+    for sigma, t in ((math.nan, 1.0), (math.inf, 1.0), (2.0, [1.0, math.inf]),
+                     (2.0, np.append(np.linspace(1.0, 2.0, 31), math.nan))):
+        with pytest.raises(DomainError):
+            prime_poly(sigma, t, 50.0)
+    for tol in (-1e-9, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            prime_poly(2.0, 1.0, 50.0, weighted=True, tol=tol)
+
+
+@pytest.mark.parametrize("sigma, x", [(2.0, 100.0), (1.5, 50.0), (1.2, 30.0)])
+def test_tail_cut_bounds_the_measured_tail(sigma, x):
+    # Each cut's bound fits its budget and dominates the tail it drops,
+    # sum_{y < n <= top} Lambda(n) a(n) n^-sigma, weighted (top = x^3) and plain
+    # (top = x^3 too, a = 1).
+    top = x**3
+    table = prime_powers_up_to(top)
+    v = table.value.astype(np.float64)
+    for weighted in (True, False):
+        amp = weight_w(v, SelbergWeightSpec(x=x)) if weighted else 1.0
+        c = amp * table.log_prime * v**-sigma
+        whole = _tail_cut(sigma, x if weighted else top, weighted, math.inf)[1]
+        cuts = set()  # the plain tail bound stays above top^(1 - sigma), so its cuts stay coarser
+        for frac in (1e-1, 1e-2, 1e-3, 1e-4) if weighted else (0.5, 0.2, 0.1, 0.05):
+            y, bound = _tail_cut(sigma, x if weighted else top, weighted, frac * whole)
+            assert 1.0 < y < top and bound <= frac * whole
+            assert math.fsum(c[v > y]) <= bound
+            cuts.add(y)
+        assert len(cuts) == 4
+    # No cut without a budget, or for sigma < 0, where n^-sigma grows.
+    assert _tail_cut(sigma, x, True, 0.0) == (top, 0.0)
+    assert _tail_cut(-0.5, x, True, 1.0) == (top, 0.0)
+
+
+@pytest.mark.parametrize("sigma, x, t, tol", [
+    (2.0, 400.0, np.linspace(50.0, 300.0, 1000), 1e-9),  # the scan benchmark's grid
+    (1.2, 50.0, np.linspace(10.0, 20.0, 64), 1e-4),
+    (1.2, 50.0, np.array([3.0, 4.5, 7.1, 12.9, 13.0, 29.7]), 1e-4),  # direct route
+])
+def test_budgeted_poly_within_a_quarter_of_tol(sigma, x, t, tol):
+    full = prime_poly(sigma, t, x, weighted=True)
+    cut = prime_poly(sigma, t, x, weighted=True, tol=tol)
+    values, y, bound = _poly_sum(sigma, t, x, True, tol)
+    assert np.array_equal(values, cut) and y < x**3
+    assert np.max(np.abs(cut - full)) <= min(tol / 4, bound)
+    assert bound <= tol / 4 + RELATIVE_ACCURACY * _table_sum(sigma, x, np.zeros(1), True)[0].real
+
+
 def test_scan_in_convergent_region():
     zeros = find_zero_ordinates(62.0)
     t = np.linspace(30.0, 60.0, 200)
@@ -296,6 +346,17 @@ def test_scan_in_convergent_region():
     assert res.summary["max_abs_residual"] <= 10.0 * ctb
     assert res.summary["ratio_max"] <= 1.0
     assert np.all(np.isfinite(res.residual))
+
+
+def test_scan_reports_the_poly_budget_it_spent():
+    # The scan cuts its polynomial at poly_terms_to < x^3 and reports a bound
+    # that covers the move from the full sum and stays near tol/4.
+    zeros = find_zero_ordinates(62.0)
+    t = np.linspace(30.0, 60.0, 200)
+    res = explicit_formula_scan(2.0, 100.0, t, zeros, tol=1e-9)
+    y, bound = res.summary["poly_terms_to"], res.summary["poly_error_bound"]
+    assert 1e5 < y < 1e6 and 1e-12 < bound <= 1e-9 / 4 + 1e-12
+    assert np.max(np.abs(res.poly - prime_poly(2.0, t, 100.0, weighted=True))) <= bound
 
 
 def test_scan_flags_points_below_threshold():
