@@ -27,8 +27,8 @@ sums (-i t_j)^k mode_k by Horner's rule. The truncation adds at most
 TAYLOR_ACCURACY * sum |w| (3.05e-15). add(ell, w, tol) spends an absolute
 budget instead: orders 0..K-1 only, K the fewest whose remainder
 0.1^K / K! * sum |w| (|e^{ix} - its first K terms| <= |x|^K / K!) is at
-most tol; if nine orders do not fit, the cells narrow to |t_j delta| <= tau
-with tau^9 / 9! * sum |w| <= tol. The bounds spent add up in taylor_bound.
+most tol, or nine orders where none does. The remainders spent, over tol in
+that case, add up in taylor_bound.
 
 Spreading is additive, so callers stream sources segment by segment and the
 FFT runs once at the end; results do not depend on batching or order, up to
@@ -66,7 +66,7 @@ class NufftSum:
         # h = h_hi + h_lo to double-double; n * h_hi is exact for |n| < 2**29.
         self._h_hi = float(np.float32(self.h))
         self._h_lo = ((2.0 * math.pi - self._h_hi * self.Mr) + _TWO_PI_LO) / self.Mr
-        self._tmax = max(abs(self.t0), abs(self.t0 + (self.n_out - 1) * self.dt), _CELL)
+        self._width = _CELL / max(abs(self.t0), abs(self.t0 + (self.n_out - 1) * self.dt), _CELL)
         self.taylor_bound = 0.0  # Taylor remainder bounds spent by add(..., tol)
         self.shape = tuple(shape)
         # Axis 0 is the Taylor order; it grows to the most orders a dense cell takes.
@@ -75,23 +75,20 @@ class NufftSum:
 
     def add(self, ell: np.ndarray, w: np.ndarray, tol: float | None = None) -> None:
         """Spread sources: frequencies ell (shape (K,)), weights w (*shape, K), real or complex.
-        With tol > 0, each row's Taylor remainder is at most tol (see the module docstring)."""
+        With tol > 0, each row keeps the Taylor orders tol needs (see the module docstring)."""
         ell = np.asarray(ell, dtype=np.float64)
         w = np.asarray(w, dtype=np.complex128 if np.iscomplexobj(w) else np.float64)
         if ell.ndim != 1 or w.shape != self.shape + ell.shape:
             raise ValueError("w must have shape (*shape, len(ell))")
-        orders, tau = _ORDERS, 0.5 * _CELL  # |t_j delta| <= tau in a cell 2 tau / max|t_j| wide
+        orders = _ORDERS
         if tol is not None:
             if not tol > 0:
                 raise ValueError("tol must be positive")
-            mass = float(np.max(np.sum(np.abs(w), axis=-1), initial=0.0))
+            mass, tau = float(np.max(np.sum(np.abs(w), axis=-1), initial=0.0)), 0.5 * _CELL
             orders = next((k for k in range(1, _ORDERS)
                            if tau**k / math.factorial(k) * mass <= tol), _ORDERS)
-            if mass:  # narrower cells where nine orders do not fit (0.999: the root rounds)
-                tau = min(tau, 0.999 * (math.factorial(orders) * tol / mass) ** (1.0 / orders))
             self.taylor_bound += tau**orders / math.factorial(orders) * mass
-        width = 2.0 * tau / self._tmax
-        cell = np.floor(ell / width)
+        cell = np.floor(ell / self._width)
         if np.any(cell[1:] < cell[:-1]):
             order = np.argsort(cell, kind="stable")
             ell, w, cell = ell[order], np.take(w, order, axis=-1), cell[order]
@@ -108,7 +105,7 @@ class NufftSum:
         if self._grid.shape[0] < orders:
             self._grid = np.pad(self._grid, [(0, orders - self._grid.shape[0])]
                                 + [(0, 0)] * (1 + len(self.shape)))
-        centre = (cell[starts[dense]] + 0.5) * width
+        centre = (cell[starts[dense]] + 0.5) * self._width
         keep = np.repeat(dense, counts)
         delta = ell[keep] - np.repeat(centre, counts[dense])
         term, at = np.compress(keep, w, axis=-1), np.cumsum(counts[dense]) - counts[dense]

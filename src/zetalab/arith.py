@@ -139,6 +139,11 @@ def prime_powers_up_to(x: float, cap: int = TABLE_CAP_DEFAULT) -> PrimePowerTabl
     )
 
 
+def segment_starts(lo: float, hi: float, segment_size: int = _SEGMENT_SIZE) -> range:
+    """The first value of each sieve segment lambda_segments(lo, hi, segment_size) walks."""
+    return range(int(math.floor(max(lo, 1))) + 1, int(math.floor(hi)) + 1, segment_size)
+
+
 def lambda_segments(
     lo: float, hi: float, segment_size: int = _SEGMENT_SIZE
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -169,7 +174,7 @@ def lambda_segments(
     pows, pow_logs = pows[order], np.log(bases[order].astype(np.float64))
     sieving = base[base > 13]
     wheel = np.gcd(2 * np.arange(15015) + 1, 15015) == 1  # is 2 i + 1 prime to 3..13
-    for seg_lo in range(lo + 1, hi + 1, segment_size):
+    for seg_lo in segment_starts(lo, hi, segment_size):
         seg_hi = min(seg_lo + segment_size - 1, hi)
         first = seg_lo | 1  # mask[i] stands for the odd number first + 2 i
         mask = np.resize(np.roll(wheel, -(first // 2)), max(0, (seg_hi - first) // 2 + 1))

@@ -3,10 +3,11 @@ local validity threshold sigma_xt, the prime-power Dirichlet polynomial
 prime_poly (plain or weighted), and residual scans quantifying how well the
 weighted polynomial tracks -zeta'/zeta along a line.
 
-prime_poly takes an absolute error budget tol: it stops its prime stream
-where a Chebyshev tail bound (psi(u) < 1.03883 u) reaches tol/8 and gives
-each sieve segment's NUFFT add an even share of another tol/8 for its Taylor
-orders. The scan passes its own tol and reports the cut and the bound spent.
+The scan sums the weighted polynomial to an absolute error budget, its own
+tol: the prime stream stops where a Chebyshev tail bound (psi(u) < 1.03883 u)
+reaches tol/8, and each sieve segment's NUFFT add gets an even share of
+another tol/8 for its Taylor orders. The scan reports the cut and the bound
+spent; prime_poly sums every term.
 
 The weight is 1 up to x, then decays through two quadratic-in-log branches
 and vanishes beyond x^3, staying inside [0, 1] with continuous joins. The
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._nufft import RELATIVE_ACCURACY, TAYLOR_ACCURACY, NufftSum, exp_sum_direct, grid_step
-from .arith import _SEGMENT_SIZE, lambda_segments
+from .arith import lambda_segments, segment_starts
 from .errors import CoverageError, DomainError
 from .zeta import ZeroList, log_deriv_band
 
@@ -139,7 +140,7 @@ class ScanResult:
     summary: dict
 
 
-def prime_poly(sigma: float, t, x: float, weighted: bool = False, tol: float = 0.0):
+def prime_poly(sigma: float, t, x: float, weighted: bool = False):
     """sum_n a(n) Lambda(n) n^{-sigma-it}: a = 1 on n <= x, or a = w_x(n) on n <= x^3.
 
     t is a float (complex result) or a 1-d array. Prime powers stream from
@@ -147,15 +148,10 @@ def prime_poly(sigma: float, t, x: float, weighted: bool = False, tol: float = 0
     coefficient a(n) Lambda(n) exp(-sigma log n) from one log. Equispaced t
     (grid_step) go through NufftSum at the frequencies log n (one add per sieve
     segment, one FFT); other t are summed directly segment by segment.
-
-    tol = 0 sums every term. tol > 0 is an absolute budget, and the result
-    stays within tol/4 of the full sum: the stream stops at the cut of
-    _tail_cut, whose tail bound is at most tol/8, and on the NUFFT route each
-    segment's add spends an even share of tol/8 on its Taylor orders.
-    A non-finite sigma, t or tol, or a negative tol, raises DomainError.
+    A non-finite sigma, x or t raises DomainError.
     """
     ts = np.asarray(t, dtype=np.float64)
-    out = _poly_sum(sigma, np.atleast_1d(ts), x, weighted, tol)[0]
+    out = _poly_sum(sigma, np.atleast_1d(ts), x, weighted, 0.0)[0]
     return complex(out[0]) if ts.ndim == 0 else out
 
 
@@ -164,24 +160,22 @@ _PSI_RATIO = 1.03883
 _TAIL_STEP = 1e-3  # node spacing in log u: the left sums exceed the integral by about 0.1%
 
 
-def _tail_cut(sigma: float, x: float, weighted: bool, budget: float):
+def _tail_cut(sigma: float, x: float, budget: float):
     """(y, bound): the least node y = e^{k h}, h = _TAIL_STEP, whose bound on the tail
-    sum_{y < n <= top} a(n) Lambda(n) n^-sigma (top = x^3 weighted, else x) is at most
-    budget, and that bound; (top, 0.0) when no node's is, or for sigma < 0.
+    sum_{y < n <= x^3} w_x(n) Lambda(n) n^-sigma is at most budget, and that bound;
+    (x^3, 0.0) when no node's is, or for sigma < 0.
 
-    For sigma >= 0, f(u) = a(u) u^-sigma is nonnegative and nonincreasing, so
+    For sigma >= 0, f(u) = w_x(u) u^-sigma is nonnegative and nonincreasing, so
     partial summation against psi(u) < 1.03883 u bounds the tail by
-    1.03883 (y f(y) + int_y^top f(u) du). The integral is replaced by its left
+    1.03883 (y f(y) + int_y^{x^3} f(u) du). The integral is replaced by its left
     sum over the nodes, an upper bound because f is nonincreasing.
     """
-    top = x**3 if weighted else x
-    if not (sigma >= 0 and budget > 0 and top > 2):
+    top = x**3
+    if not (sigma >= 0 and budget > 0):
         return top, 0.0
     ell = np.arange(0.0, math.log(top), _TAIL_STEP)
     u = np.append(np.exp(ell), top)
-    f = np.exp(-sigma * ell)
-    if weighted:
-        f *= _weight_of_log(ell, float(np.log(x)))
+    f = np.exp(-sigma * ell) * _weight_of_log(ell, float(np.log(x)))
     integral = np.cumsum((f * np.diff(u))[::-1])[::-1]
     bound = _PSI_RATIO * (u[:-1] * f + integral)
     fits = np.flatnonzero(bound <= budget)
@@ -189,17 +183,25 @@ def _tail_cut(sigma: float, x: float, weighted: bool, budget: float):
 
 
 def _poly_sum(sigma: float, grid: np.ndarray, x: float, weighted: bool, tol: float):
-    """(values, y, bound): prime_poly on the 1-d grid with budget tol, the point y
-    where its stream stops, and a bound on its distance to the full sum: the tail
-    bound, the Taylor remainders spent and RELATIVE_ACCURACY * sum |c|."""
+    """(values, y, bound): prime_poly on the 1-d grid, the point y where its stream
+    stops, and a bound on its distance to the full sum: the tail bound, the Taylor
+    remainders spent and RELATIVE_ACCURACY * sum |c|.
+
+    tol = 0 sums every term. tol > 0, weighted only, is an absolute budget: the
+    stream stops at the cut of _tail_cut, whose tail bound is at most tol/8, and
+    on the NUFFT route each segment's add spends an even share of tol/8 on its
+    Taylor orders: together at most tol/4 (unless a share is below its
+    nine-order remainder, see NufftSum.add), beside the NUFFT's own
+    RELATIVE_ACCURACY * sum |c|. A negative or non-finite tol raises DomainError.
+    """
     if not (math.isfinite(sigma) and math.isfinite(x) and np.all(np.isfinite(grid))):
         raise DomainError(f"prime_poly requires finite sigma, x and t, got sigma={sigma!r}, x={x!r}")
     if not (tol >= 0 and math.isfinite(tol)):
-        raise DomainError(f"prime_poly requires a finite tol >= 0, got {tol!r}")
+        raise DomainError(f"the polynomial's budget needs a finite tol >= 0, got {tol!r}")
     L = float(np.log(SelbergWeightSpec(x=x).x)) if weighted else None  # checks x
-    y, tail = _tail_cut(sigma, x, weighted, tol / 8)
+    y, tail = _tail_cut(sigma, x, tol / 8) if tol > 0 else (x**3 if weighted else x, 0.0)
     # An even share of tol/8 per segment of lambda_segments(1, y); None keeps nine orders.
-    budget = tol / 8 / max(1, -(-(int(y) - 1) // _SEGMENT_SIZE)) if tol > 0 else None
+    budget = tol / 8 / max(1, len(segment_starts(1, y))) if tol > 0 else None
     step = grid_step(grid)
     if step is not None:
         acc = NufftSum(*step, grid.shape[0])

@@ -12,6 +12,7 @@ from zetalab.arith import (
     chebyshev_psi,
     lambda_segments,
     prime_powers_up_to,
+    segment_starts,
     sieve_primes,
     von_mangoldt,
 )
@@ -125,6 +126,11 @@ def test_lambda_segments_match_table(segment_size):
         keep = table.value > lo
         assert np.array_equal(np.concatenate([v for v, _ in segments]), table.value[keep])
         assert np.array_equal(np.concatenate([g for _, g in segments]), table.log_prime[keep])
+        # One segment per start, each holding values in [start, start + segment_size).
+        starts = segment_starts(lo, 10**5, segment_size)
+        assert len(segments) == len(starts)
+        for (v, _), s in zip(segments, starts):
+            assert np.all((v >= s) & (v < s + segment_size))
 
 
 @pytest.mark.parametrize("lo, segment_size, first_edges", [

@@ -292,31 +292,28 @@ def test_prime_poly_rejects_non_finite_input():
             prime_poly(sigma, t, 50.0)
     for tol in (-1e-9, math.nan, math.inf):
         with pytest.raises(DomainError):
-            prime_poly(2.0, 1.0, 50.0, weighted=True, tol=tol)
+            _poly_sum(2.0, np.ones(1), 50.0, True, tol)
 
 
 @pytest.mark.parametrize("sigma, x", [(2.0, 100.0), (1.5, 50.0), (1.2, 30.0)])
 def test_tail_cut_bounds_the_measured_tail(sigma, x):
     # Each cut's bound fits its budget and dominates the tail it drops,
-    # sum_{y < n <= top} Lambda(n) a(n) n^-sigma, weighted (top = x^3) and plain
-    # (top = x^3 too, a = 1).
+    # sum_{y < n <= x^3} Lambda(n) w_x(n) n^-sigma.
     top = x**3
     table = prime_powers_up_to(top)
     v = table.value.astype(np.float64)
-    for weighted in (True, False):
-        amp = weight_w(v, SelbergWeightSpec(x=x)) if weighted else 1.0
-        c = amp * table.log_prime * v**-sigma
-        whole = _tail_cut(sigma, x if weighted else top, weighted, math.inf)[1]
-        cuts = set()  # the plain tail bound stays above top^(1 - sigma), so its cuts stay coarser
-        for frac in (1e-1, 1e-2, 1e-3, 1e-4) if weighted else (0.5, 0.2, 0.1, 0.05):
-            y, bound = _tail_cut(sigma, x if weighted else top, weighted, frac * whole)
-            assert 1.0 < y < top and bound <= frac * whole
-            assert math.fsum(c[v > y]) <= bound
-            cuts.add(y)
-        assert len(cuts) == 4
+    c = weight_w(v, SelbergWeightSpec(x=x)) * table.log_prime * v**-sigma
+    whole = _tail_cut(sigma, x, math.inf)[1]
+    cuts = set()
+    for frac in (1e-1, 1e-2, 1e-3, 1e-4):
+        y, bound = _tail_cut(sigma, x, frac * whole)
+        assert 1.0 < y < top and bound <= frac * whole
+        assert math.fsum(c[v > y]) <= bound
+        cuts.add(y)
+    assert len(cuts) == 4
     # No cut without a budget, or for sigma < 0, where n^-sigma grows.
-    assert _tail_cut(sigma, x, True, 0.0) == (top, 0.0)
-    assert _tail_cut(-0.5, x, True, 1.0) == (top, 0.0)
+    assert _tail_cut(sigma, x, 0.0) == (top, 0.0)
+    assert _tail_cut(-0.5, x, 1.0) == (top, 0.0)
 
 
 @pytest.mark.parametrize("sigma, x, t, tol", [
@@ -326,9 +323,8 @@ def test_tail_cut_bounds_the_measured_tail(sigma, x):
 ])
 def test_budgeted_poly_within_a_quarter_of_tol(sigma, x, t, tol):
     full = prime_poly(sigma, t, x, weighted=True)
-    cut = prime_poly(sigma, t, x, weighted=True, tol=tol)
-    values, y, bound = _poly_sum(sigma, t, x, True, tol)
-    assert np.array_equal(values, cut) and y < x**3
+    cut, y, bound = _poly_sum(sigma, t, x, True, tol)
+    assert y < x**3
     assert np.max(np.abs(cut - full)) <= min(tol / 4, bound)
     assert bound <= tol / 4 + RELATIVE_ACCURACY * _table_sum(sigma, x, np.zeros(1), True)[0].real
 
