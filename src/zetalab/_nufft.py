@@ -1,10 +1,20 @@
-"""Type-1 nonuniform FFT by exponential-of-semicircle (ES) gridding.
+"""Dirichlet sums sum_n c_n exp(-i t log n) on a set of t, and the NUFFT behind them.
+
+dirichlet_sum(blocks, t, tol) is the one evaluator of these sums (zeta's main
+sums on a line, selberg's prime polynomial). Its blocks (ell, w) hold
+nonnegative real w of shape (R, K), row r + 1 = row r times ell; it returns
+the R row sums S_r and a bound per row and point. An equispaced t (grid_step)
+takes one NufftSum, each add spending the Taylor budget tol, and every row but
+the last moves to the exact t_j as S_r - i delta S_{r+1}, with the offset
+delta = t_j - (t0 + j dt); other t go to exp_sum_direct, delta = 0. With
+B_r = sum w_r, B_R = sum w_{R-1} ell and T the taylor_bound spent, a moved
+row's bound is RELATIVE_ACCURACY (B_r + |delta| B_{r+1}) + delta^2 B_{r+2} / 2
++ (1 + |delta|) T, the last row's RELATIVE_ACCURACY B_r + |delta| B_{r+1} + T.
 
 NufftSum computes out[j] = sum_k w_k exp(-i t_j ell_k) on t_j = t0 + j dt,
-j < n_out, the form of every Dirichlet-polynomial sum here (ell = log n).
-With the twist exp(-i t0 ell) in the weight it is a type-1 sum in j at the
-unwrapped phases phi = dt ell = n h + d, n = rint(phi / h), reduced in
-integers against the grid step h = 2 pi / Mr held in two doubles: no
+j < n_out. With the twist exp(-i t0 ell) in the weight it is a type-1 sum in
+j at the unwrapped phases phi = dt ell = n h + d, n = rint(phi / h), reduced
+in integers against the grid step h = 2 pi / Mr held in two doubles: no
 rounding of 2 pi or h shifts mode j by j * eps. A source goes onto grid
 points n - 6..n + 6, Mr = 8 ceil(n_out / 2), with the weights exp(beta
 (sqrt(1 - z^2) - 1)), z = (m h - d) / 6.5 h (Barnett, Magland & af
@@ -21,18 +31,14 @@ Anderson-Dahleh). Cells are 0.2 / max|t_j| wide (at most 1), so |t_j delta|
 <= 0.1 for the offset delta from a cell centre c. A lone source takes its
 twist and is spread at its phase; a cell with several takes the twist once,
 at c (t0 c exact by Dekker's two-product), and is spread at dt c as
-exp(-i t0 c) M_k, M_k = sum w delta^k / k!, k < 9 (real for real w), each
+exp(-i t0 c) M_k, M_k = sum w delta^k / k!, k < K (real for real w), each
 into its own Taylor-order grid (allocated when first needed); finish()
-sums (-i t_j)^k mode_k by Horner's rule. The truncation adds at most
-TAYLOR_ACCURACY * sum |w| (3.05e-15). add(ell, w, tol) spends an absolute
-budget instead: orders 0..K-1 only, K the fewest whose remainder
-0.1^K / K! * sum |w| (|e^{ix} - its first K terms| <= |x|^K / K!) is at
-most tol, or nine orders where none does. The remainders spent, over tol in
-that case, add up in taylor_bound.
-
-Spreading is additive, so callers stream sources segment by segment and the
-FFT runs once at the end; results do not depend on batching or order, up to
-the stated bounds.
+sums (-i t_j)^k mode_k by Horner's rule. An add with a dense cell charges
+its truncation 0.1^K / K! * sum |w| (|e^{ix} - its first K terms| <= |x|^K
+/ K!) to taylor_bound: K = 9 by default, at most TAYLOR_ACCURACY * sum |w|
+(3.05e-15); add(ell, w, tol) keeps the fewest K whose charge is at most
+tol, or nine where none is. Spreading is additive: the FFT runs once, in
+finish(), and results do not depend on batching or order, up to the bounds.
 """
 
 from __future__ import annotations
@@ -67,7 +73,7 @@ class NufftSum:
         self._h_hi = float(np.float32(self.h))
         self._h_lo = ((2.0 * math.pi - self._h_hi * self.Mr) + _TWO_PI_LO) / self.Mr
         self._width = _CELL / max(abs(self.t0), abs(self.t0 + (self.n_out - 1) * self.dt), _CELL)
-        self.taylor_bound = 0.0  # Taylor remainder bounds spent by add(..., tol)
+        self.taylor_bound = 0.0  # Taylor remainder bounds spent by add
         self.shape = tuple(shape)
         # Axis 0 is the Taylor order; it grows to the most orders a dense cell takes.
         # Grid point i sits at i - spread: finish() wraps the 2 spread end points.
@@ -80,14 +86,13 @@ class NufftSum:
         w = np.asarray(w, dtype=np.complex128 if np.iscomplexobj(w) else np.float64)
         if ell.ndim != 1 or w.shape != self.shape + ell.shape:
             raise ValueError("w must have shape (*shape, len(ell))")
-        orders = _ORDERS
+        mass = float(np.max(np.sum(np.abs(w), axis=-1), initial=0.0))
+        tau, orders = 0.5 * _CELL, _ORDERS
         if tol is not None:
             if not tol > 0:
                 raise ValueError("tol must be positive")
-            mass, tau = float(np.max(np.sum(np.abs(w), axis=-1), initial=0.0)), 0.5 * _CELL
             orders = next((k for k in range(1, _ORDERS)
                            if tau**k / math.factorial(k) * mass <= tol), _ORDERS)
-            self.taylor_bound += tau**orders / math.factorial(orders) * mass
         cell = np.floor(ell / self._width)
         if np.any(cell[1:] < cell[:-1]):
             order = np.argsort(cell, kind="stable")
@@ -97,6 +102,7 @@ class NufftSum:
             del cell, starts
             self._spread(self._grid[0], self.dt * ell, w * np.exp(-1j * self.t0 * ell))
             return
+        self.taylor_bound += tau**orders / math.factorial(orders) * mass
         counts = np.diff(starts, append=ell.size)
         one, dense = starts[counts == 1], counts > 1
         lone = ell[one]
@@ -173,17 +179,60 @@ def grid_step(t: np.ndarray):
     n = t.shape[0]
     if n < 16:
         return None
-    t0, dt = float(t[0]), (float(t[-1]) - float(t[0])) / (n - 1)
-    dev = np.max(np.abs(t - (t0 + np.arange(n) * dt)))
-    return (t0, dt) if dev <= 4.0 * np.finfo(float).eps * np.max(np.abs(t)) else None
+    step = float(t[0]), (float(t[-1]) - float(t[0])) / (n - 1)
+    dev = np.max(np.abs(_offset(t, step)))
+    return step if dev <= 4.0 * np.finfo(float).eps * np.max(np.abs(t)) else None
+
+
+def _offset(t: np.ndarray, step) -> np.ndarray:
+    """t_j - (t0 + j dt) for step (t0, dt), exact up to one rounding (Knuth's two-sum
+    for t - t0, Dekker's product for j dt, j < 2**26); zeros for step None."""
+    if step is None:
+        return np.zeros(t.shape)
+    (t0, dt), j = step, np.arange(t.shape[0], dtype=np.float64)
+    diff, p, (hi, lo) = t - t0, j * dt, _split(dt)
+    b = diff - t
+    return (diff - p) + (((t - (diff - b)) + (-t0 - b)) - ((j * hi - p) + j * lo))
+
+
+def dirichlet_masses(blocks) -> np.ndarray:
+    """The masses (B_0, ..., B_R) of a block stream: B_r = sum w_r, B_R = sum w_{R-1} ell."""
+    return sum(np.append(w.sum(axis=1), np.sum(w[-1] * ell)) for ell, w in blocks)
+
+
+def dirichlet_bound(t: np.ndarray, B: np.ndarray, taylor: float = 0.0) -> np.ndarray:
+    """dirichlet_sum's (R, len(t)) bounds from the masses B and the Taylor charge."""
+    delta, B = np.abs(_offset(t, grid_step(t))), B[:, None]
+    moved = (RELATIVE_ACCURACY * (B[:-2] + delta * B[1:-1]) + 0.5 * delta**2 * B[2:]
+             + taylor * (1.0 + delta))
+    return np.vstack([moved, RELATIVE_ACCURACY * B[-2:-1] + delta * B[-1:] + taylor])
+
+
+def dirichlet_sum(blocks, t: np.ndarray, tol: float | None = None):
+    """(S, bound), both (R, len(t)): the rows S_r = sum w_r exp(-i t ell) at the 1-d t
+    (see the module docstring); an empty stream sums to one row of zeros."""
+    blocks = iter(blocks)
+    block = next(blocks, (np.zeros(0), np.zeros((1, 0))))
+    step, S, B = grid_step(t), 0.0, 0.0
+    acc = NufftSum(*step, t.shape[0], shape=block[1].shape[:1]) if step else None
+    while block is not None:  # a block is released once the next one is drawn
+        ell, w = block
+        B = B + dirichlet_masses([block])
+        if acc:
+            acc.add(ell, w, tol)
+        else:
+            S = S + exp_sum_direct(ell, w, t)
+        block = next(blocks, None)
+    if acc:
+        S = acc.finish()
+        S[:-1] -= 1j * _offset(t, step) * S[1:]
+    return S, dirichlet_bound(t, B, acc.taylor_bound if acc else 0.0)
 
 
 def exp_sum_direct(omega: np.ndarray, c: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Direct sum_k c_k exp(-i t_j omega_k), chunked, for weights c (*shape, K)
-    as NufftSum.add takes them; returns (*shape, len(t)). Rows of c share cos
-    and sin, and real rows stay real. The exact reference for NufftSum, the
-    general-grid fallback, and the main sums of zeta's Euler-Maclaurin engine.
-    """
+    """Direct sum_k c_k exp(-i t_j omega_k), chunked, for weights c (*shape, K) as
+    NufftSum.add takes them; returns (*shape, len(t)). Rows of c share cos and sin,
+    and real rows stay real. dirichlet_sum's other route, and zeta's band loop."""
     omega = np.asarray(omega, dtype=np.float64)
     c = np.asarray(c, dtype=np.complex128 if np.iscomplexobj(c) else np.float64)
     t = np.asarray(t, dtype=np.float64)

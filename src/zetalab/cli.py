@@ -438,6 +438,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a size too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
     print(line)
     return 0 if ok else 1
 

@@ -3,12 +3,6 @@ local validity threshold sigma_xt, the prime-power Dirichlet polynomial
 prime_poly (plain or weighted), and residual scans quantifying how well the
 weighted polynomial tracks -zeta'/zeta along a line.
 
-The scan sums the weighted polynomial to an absolute error budget, its own
-tol: the prime stream stops where a Chebyshev tail bound (psi(u) < 1.03883 u)
-reaches tol/8, and each sieve segment's NUFFT add gets an even share of
-another tol/8 for its Taylor orders. The scan reports the cut and the bound
-spent; prime_poly sums every term.
-
 The weight is 1 up to x, then decays through two quadratic-in-log branches
 and vanishes beyond x^3, staying inside [0, 1] with continuous joins. The
 threshold sigma_xt gates where the approximation is trusted: it exceeds 1/2
@@ -22,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._nufft import RELATIVE_ACCURACY, TAYLOR_ACCURACY, NufftSum, exp_sum_direct, grid_step
+from ._nufft import dirichlet_sum
 from .arith import lambda_segments, segment_starts
 from .errors import CoverageError, DomainError
 from .zeta import ZeroList, log_deriv_band
@@ -145,10 +139,8 @@ def prime_poly(sigma: float, t, x: float, weighted: bool = False):
 
     t is a float (complex result) or a 1-d array. Prime powers stream from
     lambda_segments, so no table is materialized, and each gets the real
-    coefficient a(n) Lambda(n) exp(-sigma log n) from one log. Equispaced t
-    (grid_step) go through NufftSum at the frequencies log n (one add per sieve
-    segment, one FFT); other t are summed directly segment by segment.
-    A non-finite sigma, x or t raises DomainError.
+    coefficient a(n) Lambda(n) exp(-sigma log n) from one log, all summed by one
+    _nufft.dirichlet_sum. A non-finite sigma, x or t raises DomainError.
     """
     ts = np.asarray(t, dtype=np.float64)
     out = _poly_sum(sigma, np.atleast_1d(ts), x, weighted, 0.0)[0]
@@ -184,15 +176,14 @@ def _tail_cut(sigma: float, x: float, budget: float):
 
 def _poly_sum(sigma: float, grid: np.ndarray, x: float, weighted: bool, tol: float):
     """(values, y, bound): prime_poly on the 1-d grid, the point y where its stream
-    stops, and a bound on its distance to the full sum: the tail bound, the Taylor
-    remainders spent and RELATIVE_ACCURACY * sum |c|.
+    stops, and a bound on its distance to the full sum: the tail bound plus the
+    largest bound of dirichlet_sum.
 
     tol = 0 sums every term. tol > 0, weighted only, is an absolute budget: the
     stream stops at the cut of _tail_cut, whose tail bound is at most tol/8, and
-    on the NUFFT route each segment's add spends an even share of tol/8 on its
-    Taylor orders: together at most tol/4 (unless a share is below its
-    nine-order remainder, see NufftSum.add), beside the NUFFT's own
-    RELATIVE_ACCURACY * sum |c|. A negative or non-finite tol raises DomainError.
+    each segment's add spends an even share of tol/8 on its Taylor orders (where
+    nine orders fit it): together at most tol/4 beside the rest of that bound.
+    A negative or non-finite tol raises DomainError.
     """
     if not (math.isfinite(sigma) and math.isfinite(x) and np.all(np.isfinite(grid))):
         raise DomainError(f"prime_poly requires finite sigma, x and t, got sigma={sigma!r}, x={x!r}")
@@ -200,27 +191,14 @@ def _poly_sum(sigma: float, grid: np.ndarray, x: float, weighted: bool, tol: flo
         raise DomainError(f"the polynomial's budget needs a finite tol >= 0, got {tol!r}")
     L = float(np.log(SelbergWeightSpec(x=x).x)) if weighted else None  # checks x
     y, tail = _tail_cut(sigma, x, tol / 8) if tol > 0 else (x**3 if weighted else x, 0.0)
-    # An even share of tol/8 per segment of lambda_segments(1, y); None keeps nine orders.
     budget = tol / 8 / max(1, len(segment_starts(1, y))) if tol > 0 else None
-    step = grid_step(grid)
-    if step is not None:
-        acc = NufftSum(*step, grid.shape[0])
-    else:
-        out = np.zeros(grid.shape[0], dtype=np.complex128)
-    mass = 0.0  # sum |c|: no coefficient is negative
-    for value, logp in lambda_segments(1, y):
-        lv = np.log(value.astype(np.float64))
-        coeff = (_weight_of_log(lv, L) * logp if weighted else logp) * np.exp(-sigma * lv)
-        mass += float(np.sum(coeff))
-        if step is not None:
-            acc.add(lv, coeff, tol=budget)
-        else:
-            out += exp_sum_direct(lv, coeff, grid)
-    taylor = 0.0
-    if step is not None:
-        out = acc.finish()
-        taylor = acc.taylor_bound if budget else TAYLOR_ACCURACY * mass
-    return out, y, tail + taylor + RELATIVE_ACCURACY * mass
+
+    def segments():
+        for value, logp in lambda_segments(1, y):
+            lv = np.log(value.astype(np.float64))
+            yield lv, np.exp(-sigma * lv)[None] * (_weight_of_log(lv, L) * logp if weighted else logp)
+    (out,), (bound,) = dirichlet_sum(segments(), grid, budget)
+    return out, y, tail + float(np.max(bound, initial=0.0))
 
 
 def convergent_tail_bound(sigma: float, x: float) -> float:

@@ -163,12 +163,15 @@ def make_context(
 ) -> VarianceContext:
     """Build the experiment context from T and exactly one of sigma / psi.
 
-    Requires T >= e^e and a resulting psi > 1 (the asymptotic regime gate);
-    psi <= 1 raises OutOfRegimeError. sigma must lie in (1/2, 2].
+    Requires a finite T >= e^e, a finite K_const and a resulting psi > 1 (the
+    asymptotic regime gate); psi <= 1 raises OutOfRegimeError. sigma must lie
+    in (1/2, 2].
     """
-    T = float(T)
-    if T < _T_MIN:
-        raise DomainError(f"T must be >= e^e = {_T_MIN:.4f}, got {T:g}")
+    T, K_const = float(T), float(K_const)
+    if not (_T_MIN <= T < math.inf):
+        raise DomainError(f"T must be finite and >= e^e = {_T_MIN:.4f}, got {T:g}")
+    if not math.isfinite(K_const):
+        raise DomainError(f"K_const must be finite, got {K_const:g}")
     if (sigma is None) == (psi is None):
         raise DomainError("supply exactly one of sigma or psi")
     if sigma is None:
@@ -191,6 +194,6 @@ def make_context(
         Omega=Omega,
         bOmega=bOmega,
         tOmega=tOmega,
-        K_const=float(K_const),
+        K_const=K_const,
         truncation_bound=bound,
     )

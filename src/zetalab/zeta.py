@@ -9,18 +9,10 @@ The engine is Euler-Maclaurin summation
 
 differentiated analytically for zeta' and zeta''. The remainder is bounded
 by the first neglected (k = 15) term times |s+29|/(sigma+29) (Backlund).
-With fourteen corrections the main sum stops near 0.3-0.4 max|t|:
-_truncation solves for a block's N from the remainders at max|t|/2pi,
-which fall like N^-(sigma+29), and raises it in 2% steps until they (on a
-grid, with the NUFFT and Taylor terms too) are at most tol/4. A scalar is a
-one-point block, accepted only when its values at N and 2N agree within
-tol/2 and the remainder at 2N is below tol/2. log_deriv_band, the one
-zeta'/zeta evaluator along a line, takes an equispaced t (_nufft.grid_step)
-past BAND terms at one N, its main sums for all points in one NUFFT pass,
-which makes 1e4-sample line experiments cost a fraction of a second; other
-t, and Hardy Z, share a loop over BAND-point blocks summed by exp_sum_direct.
-One loop, _terms, yields every main-sum term, and every point gets a
-certificate. The zero search refines every sign-change bracket at once.
+With fourteen corrections the main sum stops near 0.3-0.4 max|t|
+(_truncation); a scalar is a one-point block (_em_point). One loop, _terms,
+yields every main-sum term, and every point gets a certificate. The zero
+search refines every sign-change bracket at once.
 """
 
 from __future__ import annotations
@@ -30,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._nufft import RELATIVE_ACCURACY, NufftSum, exp_sum_direct, grid_step
+from ._nufft import dirichlet_bound, dirichlet_masses, dirichlet_sum, exp_sum_direct, grid_step
 from .errors import (
     CoverageError,
     DomainError,
@@ -266,14 +258,12 @@ def log_deriv_band(sigma: float, t: np.ndarray, tol: float = 1e-9):
     t gives two empty arrays.
 
     An equispaced t (_nufft.grid_step) takes one N, picked from max |t|;
-    when N > BAND the sums S_k = sum_{n<N} n^-s log^k n (k < 3) are type-1
-    sums in j at t0 + j*dt (Odlyzko-Schonhage), and a Taylor step in S_{k+1}
-    moves S_0, S_1 to the exact t_j, where the Euler-Maclaurin tail is taken;
-    flag 2 marks an EM remainder + NufftSum error + Taylor remainder above
-    tol/4. Other t, and grids with N <= BAND (so max|t| <= 2pi BAND), go
-    through the band loop that hardy_z shares: BAND-point blocks, each at
-    the N of its block maximum, flag 2 marking an EM remainder above tol/4,
-    so results do not depend on how callers partition t at multiples of BAND.
+    when N > BAND its main sums sum_{n<N} n^-s log^k n, k < 3, are one
+    _nufft.dirichlet_sum (Odlyzko-Schonhage), flag 2 marking an EM
+    remainder plus that sum's bound above tol/4. Other t, and grids with
+    N <= BAND, go through the band loop (_em_bands) that hardy_z shares,
+    flag 2 marking an EM remainder above tol/4, so results do not depend
+    on how callers partition t at multiples of BAND.
     """
     tol = _check_tol(tol)
     if sigma <= 0.5:
@@ -283,32 +273,14 @@ def log_deriv_band(sigma: float, t: np.ndarray, tol: float = 1e-9):
         raise DomainError(f"log_deriv_band needs a 1-d t, got the scalar {float(t):g}")
     step = grid_step(t)
     if step is not None:
-        (t0, dt), n_pts = step, t.shape[0]
-        # delta = t - (t0 + j*dt) exactly: Knuth's two-sum for t - t0 and
-        # Dekker's two-product for j*dt (j < 2**26 needs no split).
-        j = np.arange(n_pts, dtype=np.float64)
-        diff, p = t - t0, j * dt
-        b = diff - t
-        e_diff = (t - (diff - b)) + (-t0 - b)
-        hi = 134217729.0 * dt - (134217729.0 * dt - dt)
-        delta = (diff - p) + (e_diff - ((j * hi - p) + j * (dt - hi)))
-
-        def extra(B):  # the NufftSum and Taylor terms of S_0's and S_1's bounds
-            return [RELATIVE_ACCURACY * (B[k] + np.abs(delta) * B[k + 1])
-                    + 0.5 * delta**2 * B[k + 2] for k in range(2)]
-        N, rems = _truncation(sigma, t, tol, 1, lambda N: extra(
-            sum(w.sum(axis=1) for _, w in _terms(sigma, N, 4))))
+        N, rems = _truncation(sigma, t, tol, 1, lambda N: dirichlet_bound(
+            t, dirichlet_masses(_terms(sigma, N, 3))))
     if step is None or N <= BAND:
         (z0, z1), rems = _em_bands(sigma, t, tol, 1)
         return _quotient(z0, z1, rems, tol)
-    acc = NufftSum(t0, dt, n_pts, shape=(3,))
-    B = np.zeros(4)  # sum_{n<N} n^-sigma log^k n, the bounds of |S_k|
-    for ln, w in _terms(sigma, N, 4):
-        B += w.sum(axis=1)
-        acc.add(ln, w[:3])
-    S0, S1, S2 = acc.finish()
-    (z0, z1), _ = _em_tail(sigma, t, N, [S0 - 1j * delta * S1, S1 - 1j * delta * S2])
-    return _quotient(z0, z1, [r + e for r, e in zip(rems, extra(B))], tol)
+    S, bound = dirichlet_sum(_terms(sigma, N, 3), t)
+    (z0, z1), _ = _em_tail(sigma, t, N, list(S[:2]))
+    return _quotient(z0, z1, [r + e for r, e in zip(rems, bound)], tol)
 
 
 def _check_t(t) -> np.ndarray:

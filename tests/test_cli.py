@@ -294,6 +294,13 @@ _DIST = ["dist", "--T", "1e4", "--psi", "15", "--count", "64"]
     ["dist", "--T", "1e3", "--sigma", "0.7", "--mode", "random", "--t_hi", "nan", "--count", "10"],
     ["dist", "--T", "1e3", "--sigma", "0.7", "--mode", "random", "--t_lo", "-inf", "--count", "10"],
     ["dist", "--T", "1e4", "--psi", "15", "--mode", "random", "--count", "-5"],
+    ["variance", "--T", "inf", "--sigma", "0.7"],
+    ["variance", "--T", "nan", "--sigma", "0.7"],
+    ["variance", "--T", "1e5", "--sigma", "0.7", "--K_const", "nan"],
+    # Sizes beyond any address space: numpy refuses them before allocating.
+    _DIST + ["--count", "100000000000000000"],
+    ["scan", "--sigma", "2", "--x", "100", "--n_t", "100000000000000000"],
+    ["chf", "--sigma", "0.6", "--x", "100", "--n_axis", "100000000000000000"],
 ], ids=" ".join)
 def test_non_finite_or_degenerate_input_exits_2(tmp_path, capsys, argv):
     # A nan fails every comparison, so a check written as `x < 2` lets it

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetalab._nufft import (_BETA, RELATIVE_ACCURACY, TAYLOR_ACCURACY, NufftSum, _es_nodes,
-                            exp_sum_direct, grid_step)
+                            _offset, dirichlet_masses, dirichlet_sum, exp_sum_direct,
+                            grid_step)
 from zetalab.arith import lambda_segments
 
 BOUND = RELATIVE_ACCURACY + TAYLOR_ACCURACY
@@ -183,12 +184,13 @@ def test_budgeted_add_is_sharp_at_a_cell_edge():
 def test_add_without_budget_keeps_nine_orders_in_default_cells():
     # tol=None keeps nine orders in cells 0.2 / max|t_j| wide: bit for bit the
     # budgeted add whose budget just admits nine orders, and the one whose
-    # budget nine orders do not fit, which charges their remainder.
+    # budget nine orders do not fit. All three charge the nine-order remainder.
     ell, w = _prime_power_sources()
     nine = 0.1**9 / math.factorial(9) * np.sum(w)
     plain = NufftSum(50.0, 0.25, 1000)
     plain.add(ell, w)
-    assert plain._grid.shape[0] == 9 and plain.taylor_bound == 0.0
+    assert plain._grid.shape[0] == 9
+    assert plain.taylor_bound == pytest.approx(nine, rel=1e-12)
     for budget in (1.01 * nine, 0.5 * nine):
         budgeted = NufftSum(50.0, 0.25, 1000)
         budgeted.add(ell, w, tol=budget)
@@ -214,3 +216,59 @@ def test_grid_step_accepts_sample_line_grids_and_rejects_random_t(t_lo, frac, n,
         assert grid_step(t) == want
     rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
     assert grid_step(np.sort(t_lo + (t_hi - t_lo) * rng.random(n))) is None
+
+
+# An inexact linspace near t = 1e5 and its four points farthest off t0 + j dt.
+LINE = np.linspace(1e5, 1e5 + 250.0, 1000)
+FAR = np.sort(np.argsort(-np.abs(_offset(LINE, grid_step(LINE))))[:4])
+
+
+def _row_blocks(ell, w0, R):
+    """The blocks (ell, rows w0 ell^r, r < R), in two batches."""
+    rows, cut = np.multiply.accumulate([w0] + [ell] * (R - 1)), ell.size // 3
+    return [(ell[:cut], rows[:, :cut]), (ell[cut:], rows[:, cut:])]
+
+
+def _mp_rows(ell, w0, R, t):
+    """sum_k w0_k ell_k^r exp(-i t_j ell_k), r < R, in 30 digits at the float ell, w0 and t."""
+    with mp.workdps(30):
+        terms = [(mp.mpf(float(a)), mp.mpf(float(b))) for a, b in zip(ell, w0)]
+        return np.array([[complex(mp.fsum(b * a**r * mp.expj(-mp.mpf(float(tj)) * a)
+                                          for a, b in terms)) for tj in t] for r in range(R)])
+
+
+@pytest.mark.parametrize("R", [3, 1])
+def test_dirichlet_sum_moves_grid_rows_to_the_exact_t(R):
+    # Frequencies 2^-4..2^3 make t ell, t0 ell and dt ell exact, so no rounding
+    # of a phase hides in the comparison: the rows, at points where delta is
+    # about 7e-12, are within their bounds on both routes, and the last row
+    # misses the grid point's value by more than its NUFFT certificate, so its
+    # |delta| B_R charge is needed.
+    ell, w0 = 2.0 ** np.arange(-4.0, 4.0), np.linspace(1.0, 2.0, 8)
+    want, B = _mp_rows(ell, w0, R, LINE[FAR]), dirichlet_masses(_row_blocks(ell, w0, R))
+    grid, grid_bound = (a[:, FAR] for a in dirichlet_sum(_row_blocks(ell, w0, R), LINE))
+    direct, direct_bound = dirichlet_sum(_row_blocks(ell, w0, R), LINE[FAR])
+    assert np.all(np.abs(_offset(LINE, grid_step(LINE))[FAR]) > 5e-12)
+    assert np.all(np.abs(grid - want) <= grid_bound)
+    assert np.all(np.abs(direct - want) <= direct_bound)
+    assert np.max(np.abs(grid[-1] - want[-1])) > 10 * RELATIVE_ACCURACY * B[-2]
+
+
+@pytest.mark.parametrize("R", [3, 1])
+def test_dirichlet_sum_of_log_rows_against_mpmath(R):
+    # Rows n^-0.6 log^r n, n < 1000. Near t = 1e5 the double phases t log n
+    # err by up to eps |t| log n per term, which no returned bound covers yet:
+    # the comparison allows eps max|t| B_{r+1} beside the bound.
+    ell = np.log(np.arange(1.0, 1000.0))
+    w0 = np.exp(-0.6 * ell)
+    want, B = _mp_rows(ell, w0, R, LINE[FAR]), dirichlet_masses(_row_blocks(ell, w0, R))
+    rounding = np.finfo(float).eps * LINE[-1] * B[1:, None]
+    for t, cols in ((LINE, FAR), (LINE[FAR], slice(None))):
+        S, bound = dirichlet_sum(_row_blocks(ell, w0, R), t)
+        assert np.all(np.abs(S[:, cols] - want) <= bound[:, cols] + rounding)
+
+
+def test_dirichlet_sum_of_an_empty_stream_is_zero():
+    for t in (LINE, LINE[FAR]):
+        S, bound = dirichlet_sum(iter([]), t)
+        assert S.shape == bound.shape == (1, t.size) and not S.any() and not bound.any()

@@ -124,6 +124,11 @@ def test_make_context_gates():
         make_context(T=10.0, sigma=0.7)  # T below e^e
     with pytest.raises(DomainError):
         make_context(T=1e4, sigma=2.5)
+    # A NaN fails every comparison and an infinite T passes T >= e^e; both
+    # used to give a context with psi inf or NaN, and K_const NaN a NaN tOmega.
+    for T, K_const in ((math.inf, 1.0), (math.nan, 1.0), (1e5, math.nan), (1e5, -math.inf)):
+        with pytest.raises(DomainError):
+            make_context(T=T, sigma=0.7, K_const=K_const)
 
 
 def test_threshold_ordering_by_v_branch():
