@@ -152,15 +152,25 @@ _PSI_RATIO = 1.03883
 _TAIL_STEP = 1e-3  # node spacing in log u: the left sums exceed the integral by about 0.1%
 
 
+def _psi_floor(u: np.ndarray) -> np.ndarray:
+    """The lower bound on psi(u) that _tail_cut charges (0 below u = 41). The tests
+    check it against the exact psi up to 6.4e7; above, it rests on the citation."""
+    shave = np.where(u >= 563, 0.5, 1.0) / np.log(np.maximum(u, 41.0))
+    return np.where(u >= 41, u * (1.0 - shave), 0.0)
+
+
 def _tail_cut(sigma: float, x: float, budget: float):
     """(y, bound): the least node y = e^{k h}, h = _TAIL_STEP, whose bound on the tail
     sum_{y < n <= x^3} w_x(n) Lambda(n) n^-sigma is at most budget, and that bound;
     (x^3, 0.0) when no node's is, or for sigma < 0.
 
-    For sigma >= 0, f(u) = w_x(u) u^-sigma is nonnegative and nonincreasing, so
-    partial summation against psi(u) < 1.03883 u bounds the tail by
-    1.03883 (y f(y) + int_y^{x^3} f(u) du). The integral is replaced by its left
-    sum over the nodes, an upper bound because f is nonincreasing.
+    For sigma >= 0, f(u) = w_x(u) u^-sigma is nonnegative, nonincreasing and 0 at
+    x^3, so partial summation against psi(u) < 1.03883 u bounds the tail by
+    (1.03883 y - psi(y)) f(y) + 1.03883 int_y^{x^3} f(u) du. psi(y) >= theta(y) is
+    charged at y (1 - 1/(2 log y)) for y >= 563 and y (1 - 1/log y) for
+    41 <= y < 563 (Rosser & Schoenfeld 1962, Thm 4, (3.16) and (3.15)), and at 0
+    below. The integral is replaced by its left sum over the nodes, an upper bound
+    because f is nonincreasing.
     """
     top = x**3
     if not (sigma >= 0 and budget > 0):
@@ -169,7 +179,7 @@ def _tail_cut(sigma: float, x: float, budget: float):
     u = np.append(np.exp(ell), top)
     f = np.exp(-sigma * ell) * _weight_of_log(ell, float(np.log(x)))
     integral = np.cumsum((f * np.diff(u))[::-1])[::-1]
-    bound = _PSI_RATIO * (u[:-1] * f + integral)
+    bound = (_PSI_RATIO * u[:-1] - _psi_floor(u[:-1])) * f + _PSI_RATIO * integral
     fits = np.flatnonzero(bound <= budget)
     return (float(u[fits[0]]), float(bound[fits[0]])) if fits.size else (top, 0.0)
 

@@ -100,7 +100,7 @@ def _em_tail(sigma: float, t: np.ndarray, N: int, S: list):
 
     # Bernoulli corrections T_k = c_k * P(s) * N^{-s-2k+1}, P = s(s+1)...(s+2k-2),
     # and their s-derivatives.
-    rising = _rising(s)
+    rising = list(_rising(s))
     for k, (ck, products) in enumerate(zip(_EM_COEFF[:-1], rising), start=1):
         E = ck * Nc ** (-sigma - 2 * k + 1) * phase
         for d, term in enumerate(_times_N_power(*products, L, n_derivs)):
@@ -109,16 +109,14 @@ def _em_tail(sigma: float, t: np.ndarray, N: int, S: list):
 
 
 def _rising(s: np.ndarray):
-    """[(P, P', P'')] for P(s) = s(s+1)...(s+2k-2), k = 1..15, from one
+    """Yield (P, P', P'') for P(s) = s(s+1)...(s+2k-2), k = 1..15, from one
     product-rule recurrence, which stays finite at the zeros of single
     factors (s = 0)."""
     P, P1, P2 = np.ones_like(s), np.zeros_like(s), np.zeros_like(s)
-    out = []
     for j in range(2 * len(_EM_COEFF) - 1):
         P, P1, P2 = P * (s + j), P1 * (s + j) + P, P2 * (s + j) + 2.0 * P1
         if j % 2 == 0:
-            out.append((P, P1, P2))
-    return out
+            yield P, P1, P2
 
 
 def _times_N_power(P, P1, P2, L: float, n_derivs: int):
@@ -151,7 +149,9 @@ def _truncation(sigma: float, t: np.ndarray, tol: float, n_derivs: int,
     if t_top > HEIGHT_CAP:
         raise PrecisionError(f"|t| = {t_top:g} exceeds the height cap {HEIGHT_CAP:g}")
     s, N = sigma + 1j * t, max(16, math.ceil(t_top / (2.0 * math.pi)))
-    last, N_last = _rising(s)[-1], 16 * max(16, int(1.25 * t_top) + 1)
+    for last in _rising(s):  # walk the recurrence, keeping only the last triple
+        pass
+    N_last = 16 * max(16, int(1.25 * t_top) + 1)
     q = 0.25 * tol
     worst = max(float(np.max(r)) for r in _em_rems(sigma, s, N, last, n_derivs)) / q
     N = min(N_last, math.ceil(N * max(1.0, worst) ** (1.0 / (sigma + 29.0))))

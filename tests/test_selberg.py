@@ -12,12 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetalab._nufft import RELATIVE_ACCURACY, TAYLOR_ACCURACY, exp_sum_direct, grid_step
-from zetalab.arith import prime_powers_up_to
+from zetalab.arith import lambda_segments, prime_powers_up_to
 from zetalab.errors import CoverageError, DomainError
 from zetalab.selberg import (
     ScanResult,
+    _TAIL_STEP,
     SelbergWeightSpec,
     _poly_sum,
+    _psi_floor,
     _tail_cut,
     convergent_tail_bound,
     explicit_formula_scan,
@@ -308,12 +310,29 @@ def test_tail_cut_bounds_the_measured_tail(sigma, x):
     for frac in (1e-1, 1e-2, 1e-3, 1e-4):
         y, bound = _tail_cut(sigma, x, frac * whole)
         assert 1.0 < y < top and bound <= frac * whole
-        assert math.fsum(c[v > y]) <= bound
+        tail = math.fsum(c[v > y])
+        assert tail <= bound
+        # From y = 563 on, psi(y) is charged at y (1 - 1/(2 log y)): within 2x of the tail.
+        assert y < 563 or bound <= 2.0 * tail
         cuts.add(y)
     assert len(cuts) == 4
     # No cut without a budget, or for sigma < 0, where n^-sigma grows.
     assert _tail_cut(sigma, x, 0.0) == (top, 0.0)
     assert _tail_cut(-0.5, x, 1.0) == (top, 0.0)
+
+
+def test_psi_floor_holds_on_the_tail_nodes():
+    # The exact psi, from the streamed log p, is at least the floor _tail_cut
+    # charges at every node y = e^{k h} in [41, 6.4e7], the scan benchmark's range.
+    top = 6.4e7
+    u = np.exp(np.arange(0.0, math.log(top), _TAIL_STEP))
+    u = u[u >= 41.0]
+    psi = np.zeros_like(u)
+    for value, logp in lambda_segments(1, top):
+        psi += np.append(0.0, np.cumsum(logp))[np.searchsorted(value, u, side="right")]
+    floor = _psi_floor(u)
+    assert np.all(floor > 0.0) and np.all(psi >= floor)
+    assert np.all(_psi_floor(np.array([1.0, 2.0, 40.9])) == 0.0)
 
 
 @pytest.mark.parametrize("sigma, x, t, tol", [
@@ -325,6 +344,8 @@ def test_budgeted_poly_within_a_quarter_of_tol(sigma, x, t, tol):
     full = prime_poly(sigma, t, x, weighted=True)
     cut, y, bound = _poly_sum(sigma, t, x, True, tol)
     assert y < x**3
+    if (sigma, x, tol) == (2.0, 400.0, 1e-9):
+        assert y <= 2.8e7  # the scan benchmark's cut
     assert np.max(np.abs(cut - full)) <= min(tol / 4, bound)
     assert bound <= tol / 4 + RELATIVE_ACCURACY * _table_sum(sigma, x, np.zeros(1), True)[0].real
 
