@@ -163,7 +163,8 @@ def lambda_segments(
         return
     base = sieve_primes(math.isqrt(hi))
     # Every p^k <= hi with k >= 2, listed once and sorted; segments take their share.
-    pows, bases, p, v = [], [], base, base * base
+    # The empty first entries keep the concatenation defined for hi < 4 (no base prime).
+    pows, bases, p, v = [base[:0]], [base[:0]], base, base * base
     while p.size:
         pows.append(v)
         bases.append(p)

@@ -324,15 +324,18 @@ def cmd_scan(p: dict, workers: int, seed: int, tol: float):
     t_grid = np.linspace(t_lo, t_hi, n_t)
     result = selberg.explicit_formula_scan(sigma, x, t_grid, zeros, tol=tol)
 
+    # Hard invariant where the series converges: the residual is within 10x its tail past
+    # x plus the certified errors of zeta'/zeta (tol) and of the polynomial.
+    summary = result.summary
+    max_res = summary["max_abs_residual"]
     hard_ok = True
-    max_res = result.summary["max_abs_residual"]
     if sigma > 1.0 and max_res is not None:
-        bound = selberg.convergent_tail_bound(sigma, x)
-        hard_ok = max_res <= 10.0 * bound
+        hard_ok = max_res <= (10.0 * summary["convergent_tail_bound"] + tol
+                              + summary["poly_error_bound"])
 
     body = {"sigma": sigma, "x": x, "t_lo": t_lo, "t_hi": t_hi, "n_t": n_t,
             "zero_count": int(zeros.gamma.size),
-            "summary": result.summary,
+            "summary": summary,
             "hard_invariants_ok": bool(hard_ok)}
     return body, {"scan.csv": selberg.scan_csv_text(result)}, bool(hard_ok), (
         f"scan: sigma={sigma!r} x={x!r} max_res={max_res!r}")

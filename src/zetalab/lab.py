@@ -15,7 +15,7 @@ construction.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping, Optional
 
 import numpy as np
@@ -69,7 +69,12 @@ class LineSampleSet:
         return self.n_total > 0 and self.excluded_fraction > _WARN_EXCLUDED
 
     def ok_samples(self) -> np.ndarray:
-        return self.samples[self.flags == FLAG_OK]
+        """The flag-0 samples every statistic uses; DomainError when there are none."""
+        z = self.samples[self.flags == FLAG_OK]
+        if z.size == 0:
+            counts = ", ".join(f"{k}={v}" for k, v in self.flag_counts().items())
+            raise DomainError(f"no ok sample among the {self.n_total} points ({counts})")
+        return z
 
     def flag_counts(self) -> dict:
         return {
@@ -177,8 +182,6 @@ def synthetic_gaussian_set(count: int, seed: int = 0,
 def empirical_chf(sset: LineSampleSet, u: float, v: float) -> complex:
     """Empirical characteristic function: mean of e(u Re z + v Im z) over ok-samples."""
     z = sset.ok_samples()
-    if z.size == 0:
-        raise DomainError("empirical chf of an empty sample set")
     phase = 2.0 * np.pi * (float(u) * z.real + float(v) * z.imag)
     return complex(np.mean(np.exp(1j * phase)))
 
@@ -240,8 +243,6 @@ def empirical_chf_grid(sset: LineSampleSet, u_axis, v_axis,
     if not hasattr(chunk, "__index__") or chunk < 1 or not np.isfinite(np.r_[u, v]).all():
         raise DomainError(f"empirical chf needs finite axes and integer chunk >= 1, got {chunk!r}")
     z = sset.ok_samples()
-    if z.size == 0:
-        raise DomainError("empirical chf of an empty sample set")
     au, iu = np.unique(np.abs(u), return_inverse=True)
     av, iv = np.unique(np.abs(v), return_inverse=True)
     nu, nv = au.size, av.size
@@ -346,10 +347,17 @@ def _std_normal_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
-def _binomial_se(frac: float, n: int) -> float:
-    if n <= 0:
-        return float("nan")
-    return math.sqrt(max(frac * (1.0 - frac), 0.0) / n)
+def _region_report(sset: LineSampleSet, region: dict, inside: np.ndarray,
+                   pred: float, scale_numerator: float) -> DistributionReport:
+    """The report of a region whose ok samples `inside` marks, with Gaussian probability
+    `pred` and, when a context is attached, error scale scale_numerator / bOmega."""
+    frac = float(np.count_nonzero(inside)) / inside.size
+    ctx = sset.context
+    return DistributionReport(
+        region=region, empirical_fraction=frac, gaussian_prediction=float(pred),
+        error_scale=None if ctx is None else scale_numerator / ctx.bOmega,
+        excluded_fraction=sset.excluded_fraction, n_ok=int(inside.size),
+        std_error=math.sqrt(frac * (1.0 - frac) / inside.size))
 
 
 def rectangle_report(sset: LineSampleSet, a: float, b: float,
@@ -363,26 +371,11 @@ def rectangle_report(sset: LineSampleSet, a: float, b: float,
     if b < a or d < c:
         raise DomainError("rectangle sides reversed")
     z = sset.ok_samples()
-    if z.size == 0:
-        raise DomainError("report on an empty sample set")
-    inside = (z.real >= a) & (z.real <= b) & (z.imag >= c) & (z.imag <= d)
-    frac = float(np.count_nonzero(inside)) / z.size
-    pred = ((_std_normal_cdf(b) - _std_normal_cdf(a))
-            * (_std_normal_cdf(d) - _std_normal_cdf(c)))
-    scale = None
-    if sset.context is not None:
-        meas = (b - a) * (d - c)
-        scale = (meas + 1.0) / sset.context.bOmega
-    return DistributionReport(
-        region={"type": "rectangle", "a": float(a), "b": float(b),
-                "c": float(c), "d": float(d)},
-        empirical_fraction=frac,
-        gaussian_prediction=float(pred),
-        error_scale=scale,
-        excluded_fraction=sset.excluded_fraction,
-        n_ok=int(z.size),
-        std_error=_binomial_se(frac, z.size),
-    )
+    return _region_report(
+        sset, {"type": "rectangle", "a": float(a), "b": float(b), "c": float(c), "d": float(d)},
+        (z.real >= a) & (z.real <= b) & (z.imag >= c) & (z.imag <= d),
+        (_std_normal_cdf(b) - _std_normal_cdf(a)) * (_std_normal_cdf(d) - _std_normal_cdf(c)),
+        (b - a) * (d - c) + 1.0)
 
 
 def disk_report(sset: LineSampleSet, r: float) -> DistributionReport:
@@ -396,26 +389,11 @@ def disk_report(sset: LineSampleSet, r: float) -> DistributionReport:
     if r < 0:
         raise DomainError("disk radius must be nonnegative")
     z = sset.ok_samples()
-    if z.size == 0:
-        raise DomainError("report on an empty sample set")
-    frac = float(np.count_nonzero(np.abs(z) <= r)) / z.size
-    pred = 1.0 - math.exp(-0.5 * r * r)
-    scale = None
-    extras = {}
-    if sset.context is not None:
-        scale = (r * r + r) / sset.context.bOmega
-        if r > 0 and r * sset.context.tOmega >= 1.0:
-            extras["small_r_fraction_over_r_sq"] = frac / (r * r)
-    return DistributionReport(
-        region={"type": "disk", "r": r},
-        empirical_fraction=frac,
-        gaussian_prediction=float(pred),
-        error_scale=scale,
-        excluded_fraction=sset.excluded_fraction,
-        n_ok=int(z.size),
-        std_error=_binomial_se(frac, z.size),
-        extras=extras,
-    )
+    rep = _region_report(sset, {"type": "disk", "r": r}, np.abs(z) <= r,
+                         1.0 - math.exp(-0.5 * r * r), r * r + r)
+    if sset.context is not None and r > 0 and r * sset.context.tOmega >= 1.0:
+        rep = replace(rep, extras={"small_r_fraction_over_r_sq": rep.empirical_fraction / (r * r)})
+    return rep
 
 
 def disk_cdf_sup(sset: LineSampleSet) -> dict:
@@ -426,8 +404,6 @@ def disk_cdf_sup(sset: LineSampleSet) -> dict:
     Rayleigh-squared law of |Z| for a standard complex Gaussian.
     """
     z = sset.ok_samples()
-    if z.size == 0:
-        raise DomainError("report on an empty sample set")
     radii = np.sort(np.abs(z))
     n = radii.size
     cdf = 1.0 - np.exp(-0.5 * radii * radii)
@@ -445,8 +421,6 @@ def disk_cdf_sup(sset: LineSampleSet) -> dict:
 def second_moment_check(sset: LineSampleSet) -> float:
     """Mean of |z|^2 over ok-samples; the Gaussian limit value is 2."""
     z = sset.ok_samples()
-    if z.size == 0:
-        raise DomainError("second moment of an empty sample set")
     return float(np.mean(z.real ** 2 + z.imag ** 2))
 
 

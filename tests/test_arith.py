@@ -116,6 +116,14 @@ def test_lambda_segments_half_open_range():
     assert list(lambda_segments(50, 50)) == []
 
 
+@pytest.mark.parametrize("hi, want", [(2, [2]), (3, [2, 3]), (3.9, [2, 3])])
+def test_lambda_segments_below_the_first_prime_square(hi, want):
+    # Below 4 there is no base prime, so no higher prime power to merge.
+    segments = list(lambda_segments(1, hi))
+    assert [v.tolist() for v, _ in segments] == [want]
+    assert [g.tolist() for _, g in segments] == [[math.log(p) for p in want]]
+
+
 @pytest.mark.parametrize("segment_size", [7, 997, 15014, 15015, 15016])
 def test_lambda_segments_match_table(segment_size):
     # Segment edges against the odd-only sieve's 15015-periodic wheel, and
@@ -154,6 +162,8 @@ def test_lambda_segments_prime_powers_on_segment_edges(lo, segment_size, first_e
 
 def test_chebyshev_psi_pinned():
     # Brute-force factorization oracle sums, pinned from an offline session.
+    assert chebyshev_psi(2) == math.log(2)
+    assert chebyshev_psi(3) == math.log(2) + math.log(3)
     assert chebyshev_psi(100) == pytest.approx(94.0453112293574, abs=1e-9)
     assert chebyshev_psi(10**4) == pytest.approx(10013.396693263116, abs=1e-7)
 

@@ -380,6 +380,29 @@ def test_scan_command(tmp_path):
     assert not (tmp_path / "toofar").exists()
 
 
+@pytest.mark.parametrize("sigma", ["14", "20"])
+def test_scan_at_large_sigma(tmp_path, sigma):
+    # The residual (3e-12 at sigma 14) is far above the series' tail past x (7e-35)
+    # but within the certified errors of the two sides; at sigma 20 the
+    # polynomial's stream stops below 4, before the first prime square.
+    rc = main(["scan", "--sigma", sigma, "--x", "400", "--t_lo", "50", "--t_hi", "60",
+               "--n_t", "16", "--out", str(tmp_path)])
+    assert rc == 0
+    doc = _read_json(tmp_path / "scan.json")
+    assert doc["hard_invariants_ok"] and doc["summary"]["n_ok"] == 16
+    if sigma == "20":
+        assert doc["summary"]["poly_terms_to"] < 4
+
+
+def test_dist_with_every_point_refused_exits_2(tmp_path, capsys):
+    # At psi 3 the grid certificate fails at every point of T = 1e5.
+    out = tmp_path / "run"
+    assert main(["dist", "--T", "1e5", "--psi", "3", "--count", "64", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: no ok sample among the 64 points "
+                                       "(ok=0, near_zero=0, precision_fail=64)\n")
+    assert not out.exists()
+
+
 def test_dist_command_small(tmp_path):
     rc = main(["dist", "--T", "1000", "--sigma", "2", "--t_lo", "50",
                "--t_hi", "300", "--count", "1500", "--out", str(tmp_path)])

@@ -277,6 +277,64 @@ def test_second_moment(gauss_100k):
     assert 1.97 <= m2 <= 2.03
 
 
+def test_every_statistic_refuses_a_set_without_ok_samples():
+    flags = np.array([1, 2, 1, 1, 2, 1, 2], np.uint8)
+    refused = lab.LineSampleSet(context=None, t_values=np.arange(7.0),
+                                samples=np.full(7, np.nan + 0j), flags=flags, sampling={})
+    stats = (lambda s: s.ok_samples(),
+             lambda s: lab.empirical_chf(s, 0.1, 0.2),
+             lambda s: lab.empirical_chf_grid(s, [0.1], [0.2]),
+             lambda s: lab.rectangle_report(s, -1.0, 1.0, -1.0, 1.0),
+             lambda s: lab.disk_report(s, 1.0),
+             lambda s: lab.disk_cdf_sup(s),
+             lambda s: lab.second_moment_check(s))
+    for sset, msg in ((refused, "no ok sample among the 7 points "
+                                "(ok=0, near_zero=4, precision_fail=3)"),
+                      (lab.synthetic_gaussian_set(0), "no ok sample among the 0 points "
+                                                      "(ok=0, near_zero=0, precision_fail=0)")):
+        for stat in stats:
+            with pytest.raises(DomainError) as exc:
+                stat(sset)
+            assert str(exc.value) == msg
+
+
+def _flagged_set(context):
+    """500 seeded Gaussian samples, 111 of them flagged (near zero or uncertified)."""
+    base = lab.synthetic_gaussian_set(500, seed=3, context=context)
+    flags = base.flags.copy()
+    flags[::7] = lab.FLAG_NEAR_ZERO
+    flags[3::11] = lab.FLAG_PRECISION
+    return lab.LineSampleSet(context=context, t_values=base.t_values,
+                             samples=np.where(flags == lab.FLAG_OK, base.samples, np.nan),
+                             flags=flags, sampling=base.sampling)
+
+
+def test_region_reports_pinned(ctx_desk):
+    # Exact values from before the two reports shared one builder.  A context adds
+    # the error scales and, at r >= 1/tOmega (about 9359 here), the small-radius ratio.
+    want = [
+        {"region": {"type": "rectangle", "a": -0.5, "b": 1.25, "c": -1.0, "d": 0.75},
+         "empirical_fraction": 0.31876606683804626, "gaussian_prediction": 0.36010924851738724,
+         "std_error": 0.023627043319406075},
+        {"region": {"type": "disk", "r": 1.0}, "empirical_fraction": 0.35732647814910024,
+         "gaussian_prediction": 0.3934693402873666, "std_error": 0.02429701951331666},
+        {"region": {"type": "disk", "r": 20000.0}, "empirical_fraction": 1.0,
+         "gaussian_prediction": 1.0, "std_error": 0.0},
+    ]
+    scales = [852691.6603686977, 419786.66356612806, 83961530579861.28]
+    for ctx in (None, ctx_desk):
+        sset = _flagged_set(ctx)
+        got = [lab.rectangle_report(sset, -0.5, 1.25, -1.0, 0.75).as_dict(),
+               lab.disk_report(sset, 1.0).as_dict(),
+               lab.disk_report(sset, 2.0e4).as_dict()]
+        expect = [{**w, "excluded_fraction": 0.22199999999999998, "n_ok": 389,
+                   "error_scale": None if ctx is None else scale}
+                  for w, scale in zip(want, scales)]
+        if ctx is not None:
+            expect[2]["small_r_fraction_over_r_sq"] = 2.5e-09
+        assert got == expect
+
+
 def test_sample_line_in_convergent_strip():
     ctx = make_context(T=1000.0, sigma=2.0)
     s = lab.sample_line(ctx, t_lo=50.0, t_hi=100.0,
