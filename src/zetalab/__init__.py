@@ -11,7 +11,6 @@ limit law.
 
 from . import arith, bandlimit, lab, selberg, torus, variance, zeta
 from .errors import (
-    CapacityError,
     CoverageError,
     DomainError,
     NearZeroError,
@@ -34,7 +33,6 @@ __all__ = [
     "torus",
     "variance",
     "zeta",
-    "CapacityError",
     "CoverageError",
     "DomainError",
     "NearZeroError",

@@ -222,6 +222,14 @@ def _analytic_tail(F: BandlimitedFunction, x_lo: float, x_hi: float) -> float:
     return tail
 
 
+def _window(F: BandlimitedFunction, window: float | None, width: float):
+    """(W, a - W, b + W) for the window W on each side of [a, b], default width/delta."""
+    W = float(window) if window is not None else width / F.delta
+    if W <= 0.0:
+        raise DomainError("window must be positive")
+    return W, F.a - W, F.b + W
+
+
 def excess_integral(F: BandlimitedFunction, window: float | None = None) -> float:
     """Signed excess integral of F against the indicator of [a, b].
 
@@ -232,10 +240,7 @@ def excess_integral(F: BandlimitedFunction, window: float | None = None) -> floa
     the panel quadrature; disagreement raises QuadratureError.
     """
     d = F.delta
-    W = float(window) if window is not None else 5000.0 / d
-    if W <= 0.0:
-        raise DomainError("window must be positive")
-    x_lo, x_hi = F.a - W, F.b + W
+    _, x_lo, x_hi = _window(F, window, 5000.0)
     tail = _analytic_tail(F, x_lo, x_hi)
 
     def windowed(max_len: float) -> float:
@@ -261,10 +266,7 @@ def fourier_transform(F: BandlimitedFunction, xi, window: float | None = None):
     """
     d = F.delta
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    W = float(window) if window is not None else 1e3 / d
-    if W <= 0.0:
-        raise DomainError("window must be positive")
-    x_lo, x_hi = F.a - W, F.b + W
+    _, x_lo, x_hi = _window(F, window, 1e3)
     xi_max = float(np.max(np.abs(xi_arr))) if xi_arr.size else 0.0
     max_len = 1.0 / (d + xi_max + 1e-12)
     xs, ws = _panel_nodes(x_lo, x_hi, max_len)
@@ -295,7 +297,7 @@ def verify_bandlimit(F: BandlimitedFunction, window: float | None = None) -> dic
     raises QuadratureError with the tail estimate.
     """
     d = F.delta
-    W = float(window) if window is not None else 1e3 / d
+    W, x_lo, x_hi = _window(F, window, 1e3)
     in_band = np.linspace(-d, d, 41)
     out_band = np.linspace((1.0 + _MARGIN) * d, 2.5 * d, 24)
     edge = d * np.array([0.98, 1.0, 1.02])
@@ -311,7 +313,6 @@ def verify_bandlimit(F: BandlimitedFunction, window: float | None = None) -> dic
 
     zero_idx = int(np.argmin(np.abs(xi_grid)))
     f_hat0_raw = vals[zero_idx]
-    x_lo, x_hi = F.a - W, F.b + W
     f_hat0 = f_hat0_raw.real + _analytic_tail(F, x_lo, x_hi)
     expected0 = F.exact_integral()
 

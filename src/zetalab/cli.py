@@ -196,12 +196,8 @@ def cmd_dist(p: dict, workers: int, seed: int, tol: float):
         lab.rectangle_report(sset, 0.0, 50.0, -50.0, 50.0),
     ]
     ks = lab.disk_cdf_sup(sset)
-    if chf_r is not None:
-        axis = np.linspace(-chf_r, chf_r, p["chf_n"])
-        axis = 0.5 * (axis - axis[::-1])  # exactly antisymmetric, as lab's default
-        chf_dev = lab.chf_deviation_grid(sset, axis, axis)
-    else:
-        chf_dev = lab.chf_deviation_grid(sset)
+    axis = lab.chf_axis(ctx, chf_r, p["chf_n"])
+    chf_dev = lab.chf_deviation_grid(sset, axis, axis)
     second = lab.second_moment_check(sset)
 
     # Hard invariants: empirical chf at the origin is exactly 1, the
@@ -429,6 +425,8 @@ def main(argv=None) -> int:
         config = _load_config(args.config or os.environ.get("ZETALAB_CONFIG"))
         common = _resolve(_COMMON, args, config)
         out = common.pop("out")
+        if common["workers"] < 1:
+            raise ZetalabError(f"workers must be >= 1, got {common['workers']}")
         params = _resolve(table, args, config)
         body, tables, ok, line = handler(params, **common)
         doc = {"command": args.command, "params": params, "generated_at":

@@ -50,10 +50,6 @@ class OutOfRegimeError(ZetalabError):
     """Context parameters fall outside the asymptotic regime gate (psi <= 1)."""
 
 
-class CapacityError(ZetalabError):
-    """An exact computation would exceed its configured memory budget."""
-
-
 class TableCapError(ZetalabError):
     """A materialized prime-power table would exceed its configured cap."""
 

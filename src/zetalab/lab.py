@@ -272,6 +272,14 @@ def gaussian_chf(u, v):
     return np.exp(-2.0 * np.pi ** 2 * (u ** 2 + v ** 2))
 
 
+def chf_axis(ctx: Optional[VarianceContext], r: Optional[float] = None, n: int = 11) -> np.ndarray:
+    """n points on [-r, r], r = min(1, Omega) by default (1 without a context),
+    exactly antisymmetric so that a chf grid on them is Hermitian."""
+    r = r if r is not None else 1.0 if ctx is None else min(1.0, ctx.Omega)
+    axis = np.linspace(-r, r, n)
+    return 0.5 * (axis - axis[::-1])
+
+
 def chf_deviation_grid(sset: LineSampleSet, u_axis=None, v_axis=None) -> dict:
     """Tabulate |empirical chf - Gaussian chf| on a (u, v) grid.
 
@@ -282,11 +290,7 @@ def chf_deviation_grid(sset: LineSampleSet, u_axis=None, v_axis=None) -> dict:
     """
     ctx = sset.context
     if u_axis is None or v_axis is None:
-        r = 1.0
-        if ctx is not None:
-            r = min(1.0, ctx.Omega)
-        axis = np.linspace(-r, r, 11)
-        axis = 0.5 * (axis - axis[::-1])  # exactly antisymmetric, so the grid is Hermitian
+        axis = chf_axis(ctx)
         u_axis = axis if u_axis is None else u_axis
         v_axis = axis if v_axis is None else v_axis
     u_axis = np.atleast_1d(np.asarray(u_axis, dtype=float))

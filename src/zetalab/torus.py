@@ -1,10 +1,11 @@
 """Random Euler-product model on the torus: one uniform phase per prime.
 
 S(theta) = V^{-1/2} sum_{p^n <= x} (log p / p^{n sigma}) e(n theta_p),
-e(y) = exp(2 pi i y). The module provides exact sampling, exact low-order
-joint moments by unique-factorization coefficient matching, and three
-characteristic functions: the exact product form, a seeded Monte Carlo
-estimate, and the truncated moment expansion with its remainder envelope.
+e(y) = exp(2 pi i y). The phases are independent, so the exact low-order
+joint moments come from a per-prime product, as does the exact chf. The
+module provides exact sampling, those moments, and three characteristic
+functions: the exact product form, a seeded Monte Carlo estimate, and the
+truncated moment expansion with its remainder envelope.
 Each chf takes floats (a scalar result) or 1-d axes (the matrix over the
 grid) and does its set-up once per call. In the product form a prime with
 a single term (every p > sqrt(x)) contributes the Bessel factor
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import lab
 from .arith import prime_powers_up_to
-from .errors import CapacityError, DomainError, QuadratureError
+from .errors import DomainError, QuadratureError
 
 _MC_BLOCK = 4096
 _J0_SERIES_MAX = 2.0
@@ -121,56 +122,46 @@ def _eval_S_block(model: TorusModel, theta: np.ndarray) -> np.ndarray:
     return np.cos(ph) @ model.term_coeff + 1j * (np.sin(ph) @ model.term_coeff)
 
 
-def _coeff_maps(model: TorusModel, r_max: int, max_keys: int) -> list[dict]:
-    """Maps A_r: integer product of r term values -> summed coefficient.
+def _moment_table(model: TorusModel, n: int) -> np.ndarray:
+    """M[i, j] = E[S^i conj(S)^j] for i, j <= n, by independence of the theta_p.
 
-    A_r[key] = sum over ordered r-tuples of terms whose p^n values multiply
-    to key, of the product of coefficients. Orthogonality of e(n theta) turns
-    joint moments into diagonal matches of these maps (unique factorization
-    keeps keys exact as Python integers).
+    E[exp(a S + b conj S)] is the product over primes of E[exp(a S_p + b conj S_p)],
+    whose a^i b^j coefficient E[S_p^i conj(S_p)^j] / (i! j!) is the dot product of
+    the Fourier coefficients of S_p^i and S_p^j, convolution powers of the prime's
+    row. The product, cut at degree n in a and in b, is formed pairwise; every
+    coefficient is nonnegative, so nothing cancels.
     """
-    maps: list[dict] = [{1: 1.0}]
-    values = [int(v) for v in model.term_value]
-    coeffs = [float(c) for c in model.term_coeff]
-    for _ in range(r_max):
-        prev = maps[-1]
-        nxt: dict = {}
-        for key, amp in prev.items():
-            for v, c in zip(values, coeffs):
-                nk = key * v
-                nxt[nk] = nxt.get(nk, 0.0) + amp * c
-            if len(nxt) > max_keys:
-                raise CapacityError(
-                    f"coefficient map exceeds {max_keys} keys at order "
-                    f"{len(maps)}; reduce x or the moment order"
-                )
-        maps.append(nxt)
-    return maps
+    fact = np.cumprod([1.0, *range(1, n + 1)])  # fact[i] = i!
+    scale = np.outer(fact, fact)
+    counts = np.bincount(model.term_prime_index, minlength=model.n_primes())
+    rows = np.zeros((model.n_primes(), int(np.max(counts, initial=0)) + 1))
+    rows[model.term_prime_index, model.term_exponent] = model.term_coeff  # of e(n theta_g)
+    P = [np.eye(1, (n + 1) ** 2).reshape(1, n + 1, n + 1)]
+    for e in np.unique(counts).tolist():  # the primes with e terms, as one batch
+        row, L = rows[counts == e, :e + 1], n * e + 1
+        f = np.zeros((n + 1, len(row), L))  # f[i, g]: Fourier coefficients of S_g^i
+        f[0, :, 0] = 1.0
+        for i, k in np.ndindex(n, e):
+            f[i + 1, :, k + 1:] += row[:, k + 1, None] * f[i, :, :L - k - 1]
+        P.append(np.einsum("ipf,jpf->pij", f, f) / scale)
+    P = np.concatenate(P)
+    while len(P) > 1:  # neighbours multiply; an odd last factor waits a round
+        A, B, prod = P[0:len(P) - 1:2], P[1::2], np.zeros_like(P[1::2])
+        for i, j in np.ndindex(n + 1, n + 1):
+            prod[:, i:, j:] += A[:, i, j, None, None] * B[:, :n + 1 - i, :n + 1 - j]
+        P = np.concatenate([prod, P[len(P) - len(P) % 2:]])
+    return P[0] * scale
 
 
-def _match(maps: list[dict], m: int, k: int) -> float:
-    """E[S^m conj(S)^k] = sum over the keys of A_m and A_k of A_m[key] A_k[key]."""
-    A, B = maps[m], maps[k]
-    if len(B) < len(A):
-        A, B = B, A
-    return math.fsum(amp * B[key] for key, amp in A.items() if key in B)
-
-
-def torus_moment_exact(
-    model: TorusModel, m: int, k: int, max_keys: int = 5_000_000
-) -> complex:
-    """Exact E[S^m conj(S)^k] by integer-keyed coefficient matching.
-
-    Requires m + k <= 6; raises CapacityError when the coefficient maps
-    outgrow max_keys. The value is real (coefficients are real and matching
-    is diagonal); it is returned as complex per the moment's natural type.
-    """
+def torus_moment_exact(model: TorusModel, m: int, k: int) -> complex:
+    """Exact E[S^m conj(S)^k] for m + k <= 6, from _moment_table; real, returned
+    as complex per the moment's natural type."""
     m, k = int(m), int(k)
     if m < 0 or k < 0:
         raise DomainError("moment orders must be nonnegative")
     if m + k > 6:
         raise DomainError(f"moment order m + k = {m + k} exceeds the cap 6")
-    return complex(_match(_coeff_maps(model, max(m, k), max_keys), m, k), 0.0)
+    return complex(_moment_table(model, max(m, k))[m, k], 0.0)
 
 
 def _j0(x: np.ndarray) -> np.ndarray:
@@ -311,21 +302,21 @@ def chf_by_moments(model: TorusModel, u, v, N: int = 6):
 
     sum_{k<N} (2 pi i)^k / k! sum_j C(k,j) C1^j C2^{k-j} E[S^j conj(S)^{k-j}],
     C1 = (u - iv)/2, C2 = (u + iv)/2, at floats u and v (a complex result)
-    or over 1-d axes (the matrix chf(u_i, v_j)); the coefficient maps and
-    each moment are computed once per call. N must be even and <= 6 (the
-    exact moment capacity); the associated remainder envelope is
+    or over 1-d axes (the matrix chf(u_i, v_j)); the moment table is
+    computed once per call. N must be even and <= 6 (the exact moment
+    cap); the associated remainder envelope is
     chf_moments_envelope(u, v, N).
     """
     N = int(N)
     if N < 2 or N % 2 or N > 6:
         raise DomainError(f"N must be an even integer in [2, 6], got {N}")
     ua, va, scalar = _axes("chf_by_moments", u, v)
-    maps = _coeff_maps(model, N - 1, max_keys=5_000_000)
+    M = _moment_table(model, N - 1)
     C1 = (ua[:, None] - 1j * va) / 2.0
     C2 = (ua[:, None] + 1j * va) / 2.0
     total = np.zeros(C1.shape, dtype=complex)
     for k in range(N):
-        inner = sum(math.comb(k, j) * C1**j * C2 ** (k - j) * _match(maps, j, k - j)
+        inner = sum(math.comb(k, j) * C1**j * C2 ** (k - j) * M[j, k - j]
                     for j in range(k + 1))
         total += (2j * math.pi) ** k / math.factorial(k) * inner
     return complex(total[0, 0]) if scalar else total

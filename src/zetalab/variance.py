@@ -26,7 +26,7 @@ import numpy as np
 
 from .arith import sieve_primes
 from .errors import DomainError, OutOfRegimeError
-from .zeta import zeta, zeta_prime, zeta_second
+from .zeta import _check_tol, zeta, zeta_prime, zeta_second
 
 _T_MIN = math.e**math.e
 
@@ -62,10 +62,10 @@ def variance(sigma: float, tol: float = 1e-9) -> tuple[float, float]:
     """(V, truncation_bound) for V(sigma) = (1/2) sum Lambda^2(n) n^{-2 sigma}.
 
     sigma must exceed 1/2 (the series diverges at 1/2) and stay within the
-    evaluation strip (1/2, 2]. The bound certifies |returned - true| for the
-    prime-sum tail plus the propagated zeta-engine remainders.
+    evaluation strip (1/2, 2]; tol must lie in [1e-15, 1e-6]. The bound certifies
+    |returned - true| for the prime-sum tail plus the propagated zeta-engine remainders.
     """
-    sigma = float(sigma)
+    sigma, tol = float(sigma), _check_tol(tol)
     if sigma <= 0.5:
         raise DomainError(
             f"variance diverges for sigma <= 1/2 (got {sigma:g})"

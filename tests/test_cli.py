@@ -229,6 +229,12 @@ def test_chf_command_moments(tmp_path, capsys):
     assert not _read_json(out / "chf.json")["modulus_bound_ok"]
     assert len((out / "chf.csv").read_text().strip().split("\n")) == 26
 
+    # The moment table grows with the primes, not with their products, so x = 300 works.
+    out = tmp_path / "x300"
+    assert main(["chf", "--sigma", "0.75", "--x", "300", "--method", "moments",
+                 "--out", str(out)]) == 0
+    assert _read_json(out / "chf.json")["modulus_bound_ok"]
+
 
 def test_chf_command_rejects_non_finite_r_max(tmp_path, capsys):
     out = tmp_path / "run"
@@ -301,6 +307,9 @@ _DIST = ["dist", "--T", "1e4", "--psi", "15", "--count", "64"]
     _DIST + ["--count", "100000000000000000"],
     ["scan", "--sigma", "2", "--x", "100", "--n_t", "100000000000000000"],
     ["chf", "--sigma", "0.6", "--x", "100", "--n_axis", "100000000000000000"],
+    *(["variance", "--T", "1e5", "--psi", "15", "--tol", bad] for bad in ("-1", "0", "nan", "inf")),
+    *([*cmd, "--workers", bad] for bad in ("0", "-3")
+      for cmd in (["variance", "--T", "1e5", "--psi", "15"], _DIST, ["bs"])),
 ], ids=" ".join)
 def test_non_finite_or_degenerate_input_exits_2(tmp_path, capsys, argv):
     # A nan fails every comparison, so a check written as `x < 2` lets it
@@ -439,6 +448,18 @@ def test_dist_chf_r_axis_is_antisymmetric(tmp_path):
     assert u[-1, 0] == omega and np.array_equal(u[:, 0], -u[::-1, 0])
     assert np.unique(np.abs(u)).size == 6
     assert np.array_equal(re, re[::-1, ::-1]) and np.array_equal(im, -im[::-1, ::-1])
+
+
+def test_dist_chf_n_without_chf_r(tmp_path):
+    # --chf_n sizes the default axis too, which ends at min(1, Omega).
+    assert main(["dist", "--T", "1e4", "--psi", "15", "--count", "200", "--chf_n", "5",
+                 "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "dist_chf_dev.csv", newline="", encoding="utf-8") as fh:
+        lines = fh.read().strip().split("\n")
+    assert len(lines) == 26
+    u = np.array([float(row.split(",")[0]) for row in lines[1:]]).reshape(5, 5)[:, 0]
+    r = min(1.0, variance.make_context(psi=15.0, T=1.0e4).Omega)
+    assert u[-1] == r and np.array_equal(u, -u[::-1])
 
 
 def test_dist_worker_byte_determinism(tmp_path):

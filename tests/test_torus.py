@@ -13,7 +13,7 @@ import pytest
 from scipy.special import j0
 
 from zetalab import torus
-from zetalab.errors import CapacityError, DomainError, QuadratureError
+from zetalab.errors import DomainError, QuadratureError
 from zetalab.torus import (
     chf_by_moments,
     chf_moments_envelope,
@@ -32,7 +32,7 @@ def _moment_bruteforce(model, m, k, K=16):
 
     The integrand is a trigonometric polynomial of per-prime degree at most
     3 (m + k), so the rule is exact once K exceeds that; completely
-    independent of the coefficient-matching route.
+    independent of the per-prime product route.
     """
     n_p = model.n_primes()
     grids = np.meshgrid(
@@ -73,6 +73,38 @@ def test_moments_match_bruteforce_quadrature(model_10):
         brute = _moment_bruteforce(model_10, m, k)
         assert abs(exact - brute) <= 1e-12, (m, k)
     assert abs(torus_moment_exact(model_10, 2, 1).real - 0.3589665091334) <= 1e-12
+
+
+# E[S^m conj(S)^k] at sigma = 0.75, as the integer-keyed coefficient matching
+# that preceded the per-prime product computed them; absent pairs are 0.
+_PINNED_10 = {(0, 0): 1.0, (1, 1): 2.0, (1, 2): 0.3589665091334002,
+              (1, 3): 0.043886096961586116, (2, 2): 7.26904418191848,
+              (2, 3): 3.6269283473341316, (2, 4): 1.0239227291962214,
+              (3, 3): 36.628555443352205}
+_PINNED_300 = {(0, 0): 1.0, (1, 1): 2.0, (1, 2): 0.16319794647362285,
+               (1, 3): 0.032783769436242075, (2, 2): 7.867025762075931,
+               (2, 3): 1.863697281666265, (3, 3): 45.84259980377091}
+
+
+def test_moments_pinned_to_coefficient_matching(model_10, model_075_300):
+    for model, pinned, pairs in (
+            (model_10, _PINNED_10, [(m, k) for m in range(7) for k in range(7 - m)]),
+            (model_075_300, _PINNED_300, [(m, k) for m in range(4) for k in range(4)])):
+        for m, k in pairs:
+            want = pinned.get((min(m, k), max(m, k)), 0.0)
+            got = torus_moment_exact(model, m, k)
+            assert got.imag == 0.0 and abs(got.real - want) <= 1e-14 * want, (model.x, m, k)
+
+
+def test_moments_near_the_critical_line_at_large_x():
+    # 9,592 primes: integer-keyed maps of their products outgrow memory from
+    # order 2, while the per-prime product stays exact where it must.
+    model = make_torus_model(0.52, 1e5)
+    M = torus._moment_table(model, 2)
+    assert M[1, 0] == 0.0 and M[0, 1] == 0.0
+    assert abs(M[1, 1] - 2.0) <= 1e-13
+    m22 = torus_moment_exact(model, 2, 2)
+    assert m22.imag == 0.0 and m22.real == M[2, 2] and 7.0 < m22.real < 8.0
 
 
 def test_fourth_moment_against_montecarlo(model_075_300):
@@ -291,8 +323,6 @@ def test_domain_and_capacity_errors(model_10):
         torus_moment_exact(model_10, 4, 3)
     with pytest.raises(DomainError):
         torus_moment_exact(model_10, -1, 1)
-    with pytest.raises(CapacityError):
-        torus_moment_exact(model_10, 3, 3, max_keys=10)
     with pytest.raises(DomainError):
         chf_product(model_10, 0.1, 0.1, quad_points=32)
     for bad in ((math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.1)):
