@@ -104,21 +104,25 @@ class NufftSum:
             return
         self.taylor_bound += tau**orders / math.factorial(orders) * mass
         counts = np.diff(starts, append=ell.size)
-        one, dense = starts[counts == 1], counts > 1
-        lone = ell[one]
-        self._spread(self._grid[0], self.dt * lone,
-                     np.take(w, one, axis=-1) * np.exp(-1j * self.t0 * lone))
+        dense, term = counts > 1, w
+        one, centre = starts[~dense], (cell[starts[dense]] + 0.5) * self._width
+        del cell, starts
+        if one.size:  # spread the lone sources, keep the dense cells' sources
+            lone = ell[one]
+            self._spread(self._grid[0], self.dt * lone,
+                         np.take(w, one, axis=-1) * np.exp(-1j * self.t0 * lone))
+            keep = np.repeat(dense, counts)
+            ell, term, counts = ell[keep], np.compress(keep, w, axis=-1), counts[dense]
         if self._grid.shape[0] < orders:
             self._grid = np.pad(self._grid, [(0, orders - self._grid.shape[0])]
                                 + [(0, 0)] * (1 + len(self.shape)))
-        centre = (cell[starts[dense]] + 0.5) * self._width
-        keep = np.repeat(dense, counts)
-        delta = ell[keep] - np.repeat(centre, counts[dense])
-        term, at = np.compress(keep, w, axis=-1), np.cumsum(counts[dense]) - counts[dense]
+        delta, at = np.repeat(centre, counts), np.cumsum(counts) - counts
+        delta = np.subtract(ell, delta, out=delta)
+        del ell
         moments = [np.add.reduceat(term, at, axis=-1)]
-        for k in range(1, orders):
-            term = term * (delta / k)
-            moments.append(np.add.reduceat(term, at, axis=-1))
+        for k in range(1, orders):  # term = w delta^k, in place once it is not w
+            term = np.multiply(term, delta, out=None if k == 1 else term)
+            moments.append(np.add.reduceat(term, at, axis=-1) / math.factorial(k))
         p, (ah, al), (bh, bl) = self.t0 * centre, _split(self.t0), _split(centre)
         e = ((ah * bh - p) + ah * bl + al * bh) + al * bl  # t0 c = p + e exactly (Dekker)
         twist = np.exp(-1j * p) * (1.0 - 1j * e)  # once per cell; the moments stay real for real w

@@ -184,8 +184,12 @@ def lambda_segments(
         start += ps * (start % 2 == 0)
         for p, at in zip(ps.tolist(), ((start - first) // 2).tolist()):
             mask[at::p] = False
-        small = np.array([p for p in (2, 3, 5, 7, 11, 13) if seg_lo <= p <= seg_hi], np.int64)
-        primes = np.concatenate((small, 2 * np.nonzero(mask)[0] + first))
+        primes = np.flatnonzero(mask)
+        primes *= 2
+        primes += first
+        if seg_lo <= 13:  # the wheel's primes, in the one segment that holds them
+            small = [p for p in (2, 3, 5, 7, 11, 13) if seg_lo <= p <= seg_hi]
+            primes = np.concatenate((np.array(small, np.int64), primes))
         a, b = np.searchsorted(pows, [seg_lo, seg_hi + 1])
         at = np.searchsorted(primes, pows[a:b])
         yield (np.insert(primes, at, pows[a:b]),

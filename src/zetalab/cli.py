@@ -126,7 +126,7 @@ def cmd_variance(p: dict, workers: int, seed: int, tol: float):
 
 
 def cmd_chf(p: dict, workers: int, seed: int, tol: float):
-    method, N = p["method"], p["n_moments"]
+    method, N, tol = p["method"], p["n_moments"], zeta._check_tol(tol)
     if method not in ("product", "montecarlo", "moments"):
         raise ZetalabError(f"unknown chf method {method!r}")
     if method == "moments" and N not in (2, 4, 6):
@@ -137,7 +137,7 @@ def cmd_chf(p: dict, workers: int, seed: int, tol: float):
         # For moments, the radius where the corner envelope
         # (6 sqrt(2) pi 2r)^N / (N/2)! equals tol.
         p["r_max"] = 1.0 if method != "moments" else (
-            (max(tol, 0.0) * math.gamma(N / 2 + 1)) ** (1 / N) / (12 * math.sqrt(2) * math.pi))
+            (tol * math.gamma(N / 2 + 1)) ** (1 / N) / (12 * math.sqrt(2) * math.pi))
     r_max = p["r_max"]
     if p["n_axis"] < 1 or not (math.isfinite(r_max) and r_max > 0):
         raise ZetalabError("chf grid requires n_axis >= 1 and r_max > 0")

@@ -50,10 +50,11 @@ def _weight_of_log(ell: np.ndarray, L: float) -> np.ndarray:
       2L < l <= 3L   : (3L - l)^2 / (2 L^2)
       l > 3L         : 0
     """
-    a = 3.0 * L - ell
-    out = a * a / (2.0 * L * L)
+    out = np.subtract(3.0 * L, ell)
+    out *= out
+    out /= 2.0 * L * L
     mid = ell <= 2.0 * L
-    a, b = a[mid], 2.0 * L - ell[mid]
+    a, b = 3.0 * L - ell[mid], 2.0 * L - ell[mid]
     out[mid] = (a * a - 2.0 * b * b) / (2.0 * L * L)
     out[ell <= L] = 1.0
     out[ell > 3.0 * L] = 0.0
@@ -140,7 +141,8 @@ def prime_poly(sigma: float, t, x: float, weighted: bool = False):
     t is a float (complex result) or a 1-d array. Prime powers stream from
     lambda_segments, so no table is materialized, and each gets the real
     coefficient a(n) Lambda(n) exp(-sigma log n) from one log, all summed by one
-    _nufft.dirichlet_sum. A non-finite sigma, x or t raises DomainError.
+    _nufft.dirichlet_sum. A non-finite sigma, x or t, or a stream end (x, or x^3
+    when weighted) above 1e10, raises DomainError.
     """
     ts = np.asarray(t, dtype=np.float64)
     out = _poly_sum(sigma, np.atleast_1d(ts), x, weighted, 0.0)[0]
@@ -150,6 +152,7 @@ def prime_poly(sigma: float, t, x: float, weighted: bool = False):
 # psi(u) < 1.03883 u for every u > 0 (Rosser & Schoenfeld, Illinois J. Math. 6 (1962), Thm 12).
 _PSI_RATIO = 1.03883
 _TAIL_STEP = 1e-3  # node spacing in log u: the left sums exceed the integral by about 0.1%
+_STREAM_REACH = 1e10  # the farthest end y of a prime stream: ~40 s of sieving alone
 
 
 def _psi_floor(u: np.ndarray) -> np.ndarray:
@@ -193,7 +196,7 @@ def _poly_sum(sigma: float, grid: np.ndarray, x: float, weighted: bool, tol: flo
     stream stops at the cut of _tail_cut, whose tail bound is at most tol/8, and
     each segment's add spends an even share of tol/8 on its Taylor orders (where
     nine orders fit it): together at most tol/4 beside the rest of that bound.
-    A negative or non-finite tol raises DomainError.
+    A negative or non-finite tol, or a y above _STREAM_REACH, raises DomainError.
     """
     if not (math.isfinite(sigma) and math.isfinite(x) and np.all(np.isfinite(grid))):
         raise DomainError(f"prime_poly requires finite sigma, x and t, got sigma={sigma!r}, x={x!r}")
@@ -201,12 +204,19 @@ def _poly_sum(sigma: float, grid: np.ndarray, x: float, weighted: bool, tol: flo
         raise DomainError(f"the polynomial's budget needs a finite tol >= 0, got {tol!r}")
     L = float(np.log(SelbergWeightSpec(x=x).x)) if weighted else None  # checks x
     y, tail = _tail_cut(sigma, x, tol / 8) if tol > 0 else (x**3 if weighted else x, 0.0)
+    if y > _STREAM_REACH:
+        raise DomainError(f"the prime stream would run to y={y:.3g} (sigma={sigma!r}, x={x!r}, "
+                          f"tol={tol!r}), beyond its reach {_STREAM_REACH:g}")
     budget = tol / 8 / max(1, len(segment_starts(1, y))) if tol > 0 else None
 
     def segments():
-        for value, logp in lambda_segments(1, y):
-            lv = np.log(value.astype(np.float64))
-            yield lv, np.exp(-sigma * lv)[None] * (_weight_of_log(lv, L) * logp if weighted else logp)
+        for value, logp in lambda_segments(1, y):  # log n, then n^-sigma a(n) Lambda(n) in place
+            lv = value.astype(np.float64)
+            lv = np.log(lv, out=lv)
+            w = np.multiply(lv, -sigma)
+            w = np.exp(w, out=w)
+            w *= np.multiply(logp, _weight_of_log(lv, L), out=logp) if weighted else logp
+            yield lv, w[None]
     (out,), (bound,) = dirichlet_sum(segments(), grid, budget)
     return out, y, tail + float(np.max(bound, initial=0.0))
 
@@ -263,6 +273,7 @@ def explicit_formula_scan(
     bound = x ** ((0.5 - sigma) / 2.0) * (np.abs(poly) + np.log(t))
 
     ratios = np.abs(residual[ok]) / bound[ok]
+    q50, q90, q99 = _quantiles(ratios, (0.5, 0.9, 0.99)) if ratios.size else (None,) * 3
     summary = {
         "sigma": float(sigma),
         "x": float(x),
@@ -271,9 +282,9 @@ def explicit_formula_scan(
         "n_flagged_sigma_gate": int(np.count_nonzero(flags == 1)),
         "n_flagged_near_zero": int(np.count_nonzero(flags == 2)),
         "flagged_fraction": float(np.count_nonzero(flags != 0) / t.shape[0]),
-        "ratio_q50": float(np.quantile(ratios, 0.5)) if ratios.size else None,
-        "ratio_q90": float(np.quantile(ratios, 0.9)) if ratios.size else None,
-        "ratio_q99": float(np.quantile(ratios, 0.99)) if ratios.size else None,
+        "ratio_q50": q50,
+        "ratio_q90": q90,
+        "ratio_q99": q99,
         "ratio_max": float(np.max(ratios)) if ratios.size else None,
         "max_abs_residual": float(np.max(np.abs(residual[ok]))) if ratios.size else None,
         "convergent_tail_bound": (
@@ -288,21 +299,27 @@ def explicit_formula_scan(
     )
 
 
+def _quantiles(v: np.ndarray, qs) -> list:
+    """np.quantile(v, q) for each q, bit for bit, from one sort and without the numpy.ma
+    import of np.quantile's first call: numpy's linear rule at the index (n - 1) q."""
+    s, n, out = np.sort(v), v.size - 1, []
+    for q in qs:  # a NaN sorts last, and np.quantile returns NaN for every q
+        i = min(math.floor(n * q), n)
+        a, b, g = s[i], s[min(i + 1, n)], n * q - i
+        out.append(math.nan if np.isnan(s[-1]) else
+                   float(a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g)))
+    return out
+
+
 def scan_csv_text(result: ScanResult) -> str:
     """CSV text: t, lhs_re, lhs_im, poly_re, poly_im, res_abs, bound, flagged."""
-    rows = ["t,lhs_re,lhs_im,poly_re,poly_im,res_abs,bound,flagged"]
-    for i in range(result.t.shape[0]):
-        flagged = 1 if result.flags[i] else 0
-        res_abs = (
-            float(abs(result.residual[i])) if result.flags[i] == 0 else float("nan")
-        )
-        rows.append(
-            f"{float(result.t[i])!r},{float(result.lhs[i].real)!r},"
-            f"{float(result.lhs[i].imag)!r},{float(result.poly[i].real)!r},"
-            f"{float(result.poly[i].imag)!r},{res_abs!r},"
-            f"{float(result.bound[i])!r},{flagged}"
-        )
-    return "\n".join(rows) + "\n"
+    ok = result.flags == 0
+    # hypot rounds as abs() of one complex does; np.abs of a complex array may differ by an ulp.
+    res_abs = np.where(ok, np.hypot(result.residual.real, result.residual.imag), np.nan)
+    columns = (result.t, result.lhs.real, result.lhs.imag, result.poly.real,
+               result.poly.imag, res_abs, result.bound, (~ok).astype(int))
+    rows = [",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns))]
+    return "\n".join(["t,lhs_re,lhs_im,poly_re,poly_im,res_abs,bound,flagged", *rows]) + "\n"
 
 
 def write_scan_csv(path, result: ScanResult) -> None:

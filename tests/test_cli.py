@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import mpmath as mp
@@ -236,6 +237,19 @@ def test_chf_command_moments(tmp_path, capsys):
     assert _read_json(out / "chf.json")["modulus_bound_ok"]
 
 
+@pytest.mark.parametrize("method", ["moments", "product"])
+def test_chf_command_rejects_tol_outside_its_range(tmp_path, capsys, method):
+    # tol sets the moments grid's default radius; every method checks it as
+    # scan, dist and variance do.
+    out = tmp_path / "run"
+    for bad, shown in (("1", "1"), ("nan", "nan"), ("-1", "-1")):
+        rc = main(["chf", "--sigma", "0.75", "--x", "30", "--method", method,
+                   "--tol", bad, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: tol must lie in [1e-15, 1e-6], got {shown}\n"
+        assert not out.exists()
+
+
 def test_chf_command_rejects_non_finite_r_max(tmp_path, capsys):
     out = tmp_path / "run"
     for bad in ("nan", "inf"):
@@ -401,6 +415,20 @@ def test_scan_at_large_sigma(tmp_path, sigma):
     assert doc["hard_invariants_ok"] and doc["summary"]["n_ok"] == 16
     if sigma == "20":
         assert doc["summary"]["poly_terms_to"] < 4
+
+
+def test_scan_refuses_a_prime_stream_beyond_its_reach(tmp_path, capsys):
+    # At sigma 1.2 and x = 1e4 the tail cut puts the stream's end at 9.9e11:
+    # an hour of sieving. The refusal comes before the stream starts.
+    out = tmp_path / "run"
+    start = time.monotonic()
+    assert main(["scan", "--sigma", "1.2", "--x", "1e4", "--t_lo", "50", "--t_hi", "60",
+                 "--n_t", "20", "--out", str(out)]) == 2
+    assert time.monotonic() - start < 10.0
+    err = capsys.readouterr().err
+    assert err == ("error: the prime stream would run to y=9.91e+11 (sigma=1.2, x=10000.0, "
+                   "tol=1e-09), beyond its reach 1e+10\n")
+    assert not out.exists()
 
 
 def test_dist_with_every_point_refused_exits_2(tmp_path, capsys):
@@ -573,12 +601,14 @@ for i, argv in enumerate([
         ["chf", "--sigma", "0.9", "--x", "30", "--method", "product", "--n_axis", "3"]]):
     assert zetalab.cli.main(argv + ["--out", f"run{i}"]) == 0, argv
 assert "scipy" not in sys.modules
+assert "numpy.ma" not in sys.modules
 """
 
 
 def test_cli_runs_without_scipy(tmp_path):
     # scipy is loaded only by `bs` and band-limit verification; importing the
     # CLI and running the other commands must not pull it (or a process pool) in.
+    # Nor numpy.ma, which np.quantile's first call imports (8-17 ms).
     proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD], capture_output=True,
                           text=True, cwd=tmp_path, env=_child_env())
     assert proc.returncode == 0, proc.stderr

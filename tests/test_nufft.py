@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetalab._nufft import (_BETA, RELATIVE_ACCURACY, TAYLOR_ACCURACY, NufftSum, _es_nodes,
-                            _offset, dirichlet_masses, dirichlet_sum, exp_sum_direct,
-                            grid_step)
+                            _offset, dirichlet_bound, dirichlet_masses, dirichlet_sum,
+                            exp_sum_direct, grid_step)
 from zetalab.arith import lambda_segments
 
 BOUND = RELATIVE_ACCURACY + TAYLOR_ACCURACY
@@ -165,6 +165,24 @@ def test_budgeted_add_within_its_budget(budget, orders):
     modes = np.unique(np.r_[np.arange(8), np.arange(t.size - 8, t.size)])
     err = np.max(np.abs(acc.finish()[modes] - exp_sum_direct(ell, w, t[modes])))
     assert err <= budget + RELATIVE_ACCURACY * np.sum(w)
+
+
+@pytest.mark.parametrize("lone", [0, 400])
+def test_budgeted_add_within_dirichlet_bound(lone):
+    # The scan's density (t up to 300, prime powers near 1e7): every cell
+    # dense, then the same stream with lone sources beside it (log n for n <
+    # 400, each alone in its cell). The NUFFT, spending a 1e-9 budget, stays
+    # within dirichlet_bound of the direct sum at every t.
+    ell, w = _prime_power_sources()
+    small = np.log(np.arange(2.0, 2.0 + lone))
+    ell, w = np.concatenate((small, ell)), np.concatenate((np.full(lone, 1e-4), w))
+    t = np.linspace(50.0, 300.0, 1000)
+    acc = NufftSum(*grid_step(t), t.size, shape=(1,))
+    acc.add(ell, w[None], tol=1e-9)
+    assert 0.0 < acc.taylor_bound <= 1e-9 and acc._grid.shape[0] == 6
+    bound = dirichlet_bound(t, dirichlet_masses([(ell, w[None])]), acc.taylor_bound)[0]
+    err = np.abs(acc.finish()[0] - exp_sum_direct(ell, w, t))
+    assert np.all(err <= bound)
 
 
 def test_budgeted_add_is_sharp_at_a_cell_edge():

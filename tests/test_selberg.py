@@ -3,6 +3,7 @@ Dirichlet polynomial (against an arbitrary-precision oracle and against
 direct sums over the prime-power table on both evaluation routes), and
 explicit-formula residual scans."""
 
+import dataclasses
 import math
 
 import mpmath as mp
@@ -20,6 +21,7 @@ from zetalab.selberg import (
     SelbergWeightSpec,
     _poly_sum,
     _psi_floor,
+    _quantiles,
     _tail_cut,
     convergent_tail_bound,
     explicit_formula_scan,
@@ -426,3 +428,33 @@ def test_scan_csv_roundtrip(tmp_path):
     path = tmp_path / "scan.csv"
     write_scan_csv(path, res)
     assert path.read_text(encoding="ascii") == text
+
+    # Byte for byte the element-wise writer, with flagged rows among the ok ones.
+    flags = res.flags.copy()
+    flags[::3] = 1
+    res = dataclasses.replace(res, flags=flags, residual=np.where(flags == 0, res.residual, np.nan))
+    want = [f"{float(res.t[i])!r},{float(res.lhs[i].real)!r},{float(res.lhs[i].imag)!r},"
+            f"{float(res.poly[i].real)!r},{float(res.poly[i].imag)!r},"
+            f"{float(abs(res.residual[i])) if flags[i] == 0 else float('nan')!r},"
+            f"{float(res.bound[i])!r},{1 if flags[i] else 0}" for i in range(t.size)]
+    assert scan_csv_text(res).split("\n")[1:-1] == want
+
+
+def test_quantiles_match_numpy_bit_for_bit():
+    # One sort and numpy's linear rule: n in {1, 2, 3}, indices (n - 1) q that
+    # are integral (q = 0.5 at n = 3 and 1001, q = 0.9 and 0.99 at n = 101),
+    # ties, and a NaN, which numpy's quantile returns at every q.
+    rng = np.random.default_rng(7)
+    qs = (0.0, 0.5, 0.9, 0.99, 1.0, 0.25, 0.7)
+    cases = [rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8)
+             for n in (1, 2, 3, 4, 5, 10, 101, 999, 1000, 1001) for _ in range(20)]
+    cases += [np.round(rng.standard_normal(50), 1), np.full(7, 0.3), np.array([2.0, 1.0, 2.0, 1.0])]
+    cases += [rng.exponential(size=n) for n in range(1, 40)]
+    for v in cases:
+        got = _quantiles(v, qs)
+        want = [float(np.quantile(v, q)) for q in qs]
+        assert [g.hex() for g in got] == [w.hex() for w in want], v
+    for n in (1, 2, 3, 50):
+        v = rng.random(n)
+        v[rng.integers(n)] = np.nan
+        assert all(math.isnan(g) for g in _quantiles(v, qs))
