@@ -185,6 +185,7 @@ def lambda_segments(
         for p, at in zip(ps.tolist(), ((start - first) // 2).tolist()):
             mask[at::p] = False
         primes = np.flatnonzero(mask)
+        del mask  # the frame holds none of the segment's arrays while the consumer works
         primes *= 2
         primes += first
         if seg_lo <= 13:  # the wheel's primes, in the one segment that holds them
@@ -192,8 +193,11 @@ def lambda_segments(
             primes = np.concatenate((np.array(small, np.int64), primes))
         a, b = np.searchsorted(pows, [seg_lo, seg_hi + 1])
         at = np.searchsorted(primes, pows[a:b])
-        yield (np.insert(primes, at, pows[a:b]),
-               np.insert(np.log(primes.astype(np.float64)), at, pow_logs[a:b]))
+        pair = (np.insert(primes, at, pows[a:b]),
+                np.insert(np.log(primes.astype(np.float64)), at, pow_logs[a:b]))
+        del primes
+        yield pair
+        del pair
 
 
 def chebyshev_psi(x: float) -> float:

@@ -141,6 +141,8 @@ def cmd_chf(p: dict, workers: int, seed: int, tol: float):
     r_max = p["r_max"]
     if p["n_axis"] < 1 or not (math.isfinite(r_max) and r_max > 0):
         raise ZetalabError("chf grid requires n_axis >= 1 and r_max > 0")
+    if not math.isfinite(2.0 * r_max):  # the axis' span, which np.linspace forms
+        raise ZetalabError(f"--r_max {r_max:g} puts the chf axis past the float range")
 
     model = torus.make_torus_model(p["sigma"], p["x"])
     axis = np.linspace(-r_max, r_max, p["n_axis"])

@@ -269,7 +269,8 @@ def gaussian_chf(u, v):
     """Characteristic function of the standard complex Gaussian: e^(-2 pi^2 (u^2+v^2))."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    return np.exp(-2.0 * np.pi ** 2 * (u ** 2 + v ** 2))
+    with np.errstate(over="ignore"):  # past |(u, v)| ~ 1e154 the chf underflows to 0
+        return np.exp(-2.0 * np.pi ** 2 * (u ** 2 + v ** 2))
 
 
 def chf_axis(ctx: Optional[VarianceContext], r: Optional[float] = None, n: int = 11) -> np.ndarray:

@@ -9,10 +9,10 @@ truncated moment expansion with its remainder envelope.
 Each chf takes floats (a scalar result) or 1-d axes (the matrix over the
 grid) and does its set-up once per call. In the product form a prime with
 a single term (every p > sqrt(x)) contributes the Bessel factor
-J0(2 pi c_p r), r = |(u, v)|; midpoint quadrature runs only over the
-primes p <= sqrt(x), which have several terms. Monte Carlo draws its
-samples once, in fixed Philox-keyed blocks, and evaluates them through
-lab.empirical_chf_grid.
+J0(2 pi c_p r), r = |(u, v)|, once per distinct radius; midpoint quadrature
+of the separable e(u Re z) e(v Im z) runs only over the primes p <= sqrt(x),
+which have several terms. Monte Carlo draws its samples once, in fixed
+Philox-keyed blocks, and evaluates them through lab.empirical_chf_grid.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .arith import prime_powers_up_to
 from .errors import DomainError, QuadratureError
 
 _MC_BLOCK = 4096
+_CHF_BLOCK_BYTES = 1 << 24  # chf_product's column factors B and their phases, per block
 _J0_SERIES_MAX = 2.0
 _J0_HANKEL_MIN = 25.0
 # J0(x) = sum_k _J0_COEFF[k] x^(2k), (-1/4)^k / (k!)^2; below 2^-56 at x = 2 from k = 12.
@@ -205,6 +206,7 @@ def _axes(name: str, u, v) -> tuple[np.ndarray, np.ndarray, bool]:
     return np.atleast_1d(ua), np.atleast_1d(va), ua.ndim == va.ndim == 0
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a phase past the float range raises below
 def chf_product(model: TorusModel, u, v, quad_points: int = 64):
     """Exact chf E[e(u Re S + v Im S)] as a product of per-prime factors.
 
@@ -217,8 +219,11 @@ def chf_product(model: TorusModel, u, v, quad_points: int = 64):
     terms contributes a periodic integral evaluated by the midpoint rule
     (spectrally accurate here), with point-doubling per node until successive
     values of the whole product agree below 1e-12; a product that is not
-    finite raises QuadratureError at once. The midpoint sums at each K are
-    formed once per call, so each entry equals its one-node call bit for bit.
+    finite raises QuadratureError at once. The grid runs as a whole: J0 once
+    per distinct radius, and at each K one factor e(u_i Re z) per row and one
+    e(v_j Im z) per column, in blocks of at most _CHF_BLOCK_BYTES. Each node
+    sums in an order that does not depend on the grid, so each entry equals
+    its one-node call bit for bit.
     """
     if quad_points < 64:
         raise DomainError(f"quad_points must be >= 64, got {quad_points}")
@@ -231,30 +236,36 @@ def chf_product(model: TorusModel, u, v, quad_points: int = 64):
     coeff_mat = np.zeros((model.n_primes(), max_exp))
     coeff_mat[model.term_prime_index, model.term_exponent - 1] = model.term_coeff
     coeff_mat = coeff_mat[counts > 1]
-    z_at: dict[int, np.ndarray] = {}  # the midpoint sums at each K, shared by every node
-
-    def node(u: float, v: float) -> complex:
-        # _j0 cuts its series at its largest argument, so J0 stays per node.
-        bessel = float(np.prod(_j0(2.0 * math.pi * math.hypot(u, v) * single_coeff)))
-        prev = None
-        for K in (int(quad_points) << d for d in range(9)):
-            if K not in z_at:
-                theta = (np.arange(K) + 0.5) / K
-                # z[g, i] = sum_j coeff[g, j] e((j+1) theta_i)
-                z_at[K] = coeff_mat @ np.exp(2j * math.pi * np.outer(np.arange(1, max_exp + 1), theta))
-            z = z_at[K]
-            integrand = np.exp(2j * math.pi * (u * z.real + v * z.imag))
-            cur = bessel * complex(np.prod(integrand.mean(axis=1)))
-            if not np.isfinite(cur):  # no doubling can mend it
-                raise QuadratureError(f"chf_product is not finite at K = {K}, (u, v) = ({u:g}, {v:g})")
-            if prev is not None and abs(cur - prev) <= 1e-12 * max(1.0, abs(cur)):
-                return cur
-            prev = cur
-        raise QuadratureError(f"chf_product did not stabilize by K = {K} at (u, v) = ({u:g}, {v:g})")
-
-    out = np.array([[node(a, b) for b in va.tolist()] for a in ua.tolist()], dtype=complex)
-    out = out.reshape(ua.size, va.size)  # also when an axis is empty
-    return complex(out[0, 0]) if scalar else out
+    # _j0 cuts its series at its largest argument, so it runs once per radius.
+    radii, at = np.unique(np.hypot.outer(ua, va).ravel(), return_inverse=True)
+    bessel = np.array([np.prod(_j0(2.0 * math.pi * r * single_coeff)) for r in radii.tolist()])
+    out, bessel = np.empty((ua.size, va.size), dtype=complex), bessel[at].reshape(ua.size, va.size)
+    unsettled = np.ones(out.shape, dtype=bool)
+    prev = np.full(out.shape, np.inf)  # so that no node settles at the first K
+    for K in (int(quad_points) << d for d in range(9)):
+        theta = (np.arange(K) + 0.5) / K
+        # z[g, k] = sum_j coeff[g, j] e((j+1) theta_k); e(u Re z + v Im z) = A[g, k] B[j, g, k]
+        z = coeff_mat @ np.exp(2j * math.pi * np.outer(np.arange(1, max_exp + 1), theta))
+        cur, cols = np.zeros(out.shape, dtype=complex), np.flatnonzero(unsettled.any(axis=0))
+        step = max(1, _CHF_BLOCK_BYTES // max(24 * z.size, 1))  # B and its real phases
+        for c in (cols[s:s + step] for s in range(0, cols.size, step)):
+            B = 2j * math.pi * (va[c, None, None] * z.imag)
+            np.exp(B, out=B)
+            for i in np.flatnonzero(unsettled[:, c].any(axis=1)).tolist():
+                A = np.exp(2j * math.pi * (ua[i] * z.real))
+                # einsum sums each node's K terms in one order, whatever the grid's shape.
+                cur[i, c] = np.prod(np.einsum("gk,jgk->jg", A, B) / K, axis=1)
+            del A, B  # before the next chunk's B is formed
+        cur *= bessel
+        for i, j in np.argwhere(unsettled & ~np.isfinite(cur))[:1]:  # no doubling can mend it
+            raise QuadratureError(f"chf_product is not finite at K = {K}, "
+                                  f"(u, v) = ({ua[i]:g}, {va[j]:g})")
+        done = unsettled & (np.abs(cur - prev) <= 1e-12 * np.maximum(1.0, np.abs(cur)))
+        out[done], unsettled, prev = cur[done], unsettled & ~done, cur
+        if not unsettled.any():
+            return complex(out[0, 0]) if scalar else out
+    i, j = np.argwhere(unsettled)[0]
+    raise QuadratureError(f"chf_product did not stabilize by K = {K} at (u, v) = ({ua[i]:g}, {va[j]:g})")
 
 
 def _sample_S(model: TorusModel, n_samples: int, seed: int) -> np.ndarray:

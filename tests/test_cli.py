@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import mpmath as mp
@@ -259,6 +260,26 @@ def test_chf_command_rejects_non_finite_r_max(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err == "error: chf grid requires n_axis >= 1 and r_max > 0\n"
         assert not out.exists()
+
+
+def test_chf_command_r_max_at_the_float_range(tmp_path, capsys):
+    # The axis spans 2 r_max, which overflows at 1e308: one line that names
+    # --r_max. At 8.9e307 the axis holds but the quadrature's phases overflow:
+    # one line from chf_product. At 1e300 the Gaussian chf underflows to 0.
+    # No run warns.
+    argv = ["chf", "--sigma", "0.52", "--x", "1e5", "--n_axis", "2", "--r_max"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["1e308", "--out", str(tmp_path / "over")]) == 2
+        assert capsys.readouterr().err == "error: --r_max 1e+308 puts the chf axis past the float range\n"
+        assert main(argv + ["8.9e307", "--out", str(tmp_path / "over")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: chf_product is not finite at K = ") and err.count("\n") == 1, err
+        assert not (tmp_path / "over").exists()
+        assert main(argv + ["1e300", "--out", str(tmp_path / "far")]) == 0
+    assert capsys.readouterr().err == ""
+    doc = _read_json(tmp_path / "far" / "chf.json")
+    assert doc["sup_abs_dev_from_gaussian"] == 0.0
 
 
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch):

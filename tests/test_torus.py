@@ -6,6 +6,7 @@ the moment bound reports."""
 import dataclasses
 import math
 import time
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -169,6 +170,69 @@ def test_chf_product_matches_midpoint_oracle():
             oracle = _chf_midpoint_every_prime(model, u, v, 128)
             assert abs(oracle - _chf_midpoint_every_prime(model, u, v, 256)) <= 1e-14
             assert abs(chf_product(model, u, v) - oracle) <= 1e-12, (u, v)
+
+
+def test_chf_product_grid_matches_midpoint_oracle():
+    model = make_torus_model(0.52, 1e4)
+    axis = np.linspace(-1.0, 1.0, 5)
+    grid = chf_product(model, axis, axis)
+    for i, u in enumerate(axis.tolist()):
+        for j, v in enumerate(axis.tolist()):
+            assert abs(grid[i, j] - _chf_midpoint_every_prime(model, u, v, 128)) <= 1e-12, (u, v)
+
+
+@pytest.fixture(scope="module")
+def model_052_1e5():
+    return make_torus_model(0.52, 1e5)
+
+
+def test_chf_product_grid_equals_node_calls(model_10, model_052_1e5, monkeypatch):
+    # The 7x7 and 11x11 grids of `chf --sigma 0.52 --x 1e5`, and at x = 10 a
+    # grid whose nodes settle anywhere from K = 128 to K = 8192.
+    sizes, einsum = [], np.einsum  # the K of each midpoint mean formed
+    monkeypatch.setattr(np, "einsum", lambda spec, A, B: sizes.append(A.shape[1]) or einsum(spec, A, B))
+    for model, u, v in [(model_052_1e5, np.linspace(-1.0, 1.0, 7), np.linspace(-1.0, 1.0, 7)),
+                        (model_052_1e5, np.linspace(-1.0, 1.0, 11), np.linspace(-1.0, 1.0, 11)),
+                        (model_10, np.array([-40.0, -5.0, 0.0, 5.0, 10.0, 200.0]),
+                         np.array([0.3, -2.0, 60.0, 7.5]))]:
+        grid, settled_at = chf_product(model, u, v), set()
+        assert grid.shape == (u.size, v.size)
+        for i, a in enumerate(u.tolist()):
+            for j, b in enumerate(v.tolist()):
+                start = len(sizes)
+                assert grid[i, j] == chf_product(model, a, b), (a, b)
+                settled_at.add(max(sizes[start:]))
+    assert {128, 256, 2048, 8192} <= settled_at
+
+
+def test_chf_product_grid_edges(model_10, model_052_1e5):
+    for u, v, shape in [([], [0.1, 0.2], (0, 2)), ([0.1], [], (1, 0)), ([], [], (0, 0))]:
+        assert chf_product(model_10, np.array(u), np.array(v)).shape == shape
+    # 2 pi u Re z overflows at u = 1e308 (2 pi v Im z at v = 1e308 stays finite,
+    # and the product there is 0): the first such node in row order is named.
+    axis = np.array([0.5, 1e308])
+    with pytest.raises(QuadratureError, match=r"K = 64, \(u, v\) = \(1e\+308, 0\.5\)"):
+        chf_product(model_052_1e5, axis, axis)
+
+
+def test_chf_product_temporaries_are_bounded(model_052_1e5, monkeypatch):
+    # Unblocked, the 40 columns' factors and phases would take 40 * 65 * 128 * 24
+    # bytes = 8 MB at K = 128; a block holds at most _CHF_BLOCK_BYTES of them,
+    # here 1 MB (5 columns). The rest is the call's own per-term arrays, no
+    # larger than the model's. Blocking leaves every entry's bits alone.
+    model, axis = model_052_1e5, np.linspace(-1.0, 1.0, 40)
+    want = chf_product(model, axis, axis)
+    monkeypatch.setattr(torus, "_CHF_BLOCK_BYTES", 1 << 20)
+    model_bytes = sum(getattr(model, f.name).nbytes for f in dataclasses.fields(model)
+                      if isinstance(getattr(model, f.name), np.ndarray))
+    tracemalloc.start()
+    try:
+        got = chf_product(model, axis, axis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert peak <= torus._CHF_BLOCK_BYTES + 2 * model_bytes, peak
 
 
 def test_j0_against_mpmath():
