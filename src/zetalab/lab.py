@@ -21,7 +21,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from . import zeta
-from .bandlimit import BandlimitedFunction, selberg_interval
+from .bandlimit import BandlimitedFunction, _panel_nodes, selberg_interval
 from .errors import DomainError, QuadratureError
 from .variance import VarianceContext
 
@@ -195,30 +195,45 @@ def _cos_sin_rows(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-# Interpolation error per cos or sin factor.  An entry mixes two products of factors
-# bounded by 1 per part, so it moves by at most 4 _CHEB_TOL = 4e-15, about the eps 2 pi A R
-# (5e-15 at A R = 3.4) that rounding 2 pi a x costs an exact row; _RHO stops at 11 (n >= 16).
+# Interpolation error per cos or sin factor at a sample.  An entry mixes two products of
+# factors bounded by 1 per part, so it moves by at most 4 _CHEB_TOL = 4e-15, about the eps
+# 2 pi A R (5e-15 at A R = 3.4) that rounding 2 pi a x costs an exact row; _RHO stops at 11.
 _CHEB_TOL, _RHO = 1e-15, 1.0 + np.geomspace(1e-3, 10.0, 200)
 
 
-def _chf_nodes(a: np.ndarray, R: float):
-    """(nodes, lift): the rows at an axis' sorted distinct |u| a are lift @ the rows
-    at nodes (lift None: nodes = a).  For samples |x| <= R, cos and sin(2 pi a x) are
-    bounded by M = exp(pi A R (rho - 1/rho) / 2) on the Bernstein ellipse E_rho of
-    [0, A], A = max a, so n first-kind Chebyshev points err by at most 4 M rho^(1-n) /
-    (rho - 1) (Trefethen, ATAP Thm 8.2).  n is the least that meets _CHEB_TOL at some
-    rho in _RHO; only n < a.size interpolates (never for 16 or fewer a), with barycentric
-    weights (-1)^m sin(theta_m) and unit rows at the nodes."""
-    A = a.max(initial=0.0)
+def _sample_nodes(a: np.ndarray, x: np.ndarray):
+    """(nodes, barycentric weights (-1)^m sin(theta_m)) of n first-kind Chebyshev points
+    on [min x, max x], or None for the exact rows.  On the Bernstein ellipse E_rho of a
+    range of half-width h, cos and sin(2 pi a x), a <= A = max a, are bounded by M =
+    exp(omega (rho - 1/rho) / 2), omega = 2 pi A h, so n points err by at most 4 M
+    rho^(1-n) / (rho - 1) (Trefethen, ATAP Thm 8.2).  n is the least that meets _CHEB_TOL
+    at some rho in _RHO; only h > 0 and n < a.size interpolate (never 16 or fewer a)."""
+    lo, hi = float(x.min()), float(x.max())
+    h = 0.5 * (hi - lo)
+    omega = 2.0 * math.pi * a.max(initial=0.0) * h
     n = 1.0 + np.min(np.ceil((math.log(4.0 / _CHEB_TOL) - np.log(_RHO - 1.0)
-                              + 0.5 * math.pi * A * R * (_RHO - 1.0 / _RHO)) / np.log(_RHO)))
-    if not n < a.size:  # also a non-finite R
-        return a, None
+                              + 0.5 * omega * (_RHO - 1.0 / _RHO)) / np.log(_RHO)))
+    if not (h > 0.0 and n < a.size):  # also a non-finite h
+        return None
     theta = (np.arange(int(n)) + 0.5) * (math.pi / n)
-    nodes = 0.5 * A * (1.0 + np.cos(theta))
-    hit = a[:, None] == nodes
-    q = (-1.0) ** np.arange(int(n)) * np.sin(theta) / np.where(hit, 1.0, a[:, None] - nodes)
-    return nodes, np.where(hit.any(axis=1, keepdims=True), hit, q / q.sum(axis=1, keepdims=True))
+    return 0.5 * (lo + hi) + h * np.cos(theta), (-1.0) ** np.arange(int(n)) * np.sin(theta)
+
+
+def _sample_rows(a: np.ndarray, basis, x: np.ndarray) -> np.ndarray:
+    """The cos/sin rows at the samples x if basis is None, else their Lagrange rows
+    l_m(x), with a unit column at the nearest node where a sample's 1/(x - node) overflows."""
+    if basis is None:
+        return _cos_sin_rows(a, x)
+    nodes, weights = basis
+    q = np.subtract.outer(nodes, x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(weights[:, None], q, out=q)
+        total = q.sum(axis=0)
+        q /= total
+    hit = ~np.isfinite(total)
+    near = np.abs(np.subtract.outer(nodes, x[hit])).argmin(axis=0)
+    q[:, hit] = np.arange(nodes.size)[:, None] == near
+    return q
 
 
 def empirical_chf_grid(sset: LineSampleSet, u_axis, v_axis,
@@ -231,12 +246,14 @@ def empirical_chf_grid(sset: LineSampleSet, u_axis, v_axis,
 
         n out = (CuCv - s r SuSv) + i (r CuSv + s SuCv),
 
-    summed over the samples.  One real product per sample chunk sums the
-    blocks [[CC, CS], [SC, SS]] of the rows at the r nodes per axis of
-    `_chf_nodes` (about 36 Chebyshev points in |u| on the `sandwich` axes,
-    which have 184 distinct |u|); after the loop the barycentric lifts make
-    each block B L_u B L_v^T, 4 _CHEB_TOL from the exact rows beside
-    rounding.  Per sample: 2 (r_u + r_v) cos/sin and 4 r_u r_v multiply-adds.
+    summed over the samples as the blocks [[CC, CS], [SC, SS]] of one real
+    product.  An axis with more distinct |u| than the Chebyshev points that
+    `_sample_nodes` puts in its samples' range (about 50 on the `sandwich`
+    axes, which have up to 192 distinct |u|) interpolates in the samples:
+    each chunk adds its Lagrange rows l(X) l(Y)^T to a small mass W, and the
+    rows at the points make each block rows_u W rows_v^T, 4 _CHEB_TOL from
+    the exact rows beside rounding, with no cos/sin per sample.  Any other
+    axis takes the exact cos/sin rows at the samples.
     """
     u = np.atleast_1d(np.asarray(u_axis, dtype=float))
     v = np.atleast_1d(np.asarray(v_axis, dtype=float))
@@ -246,23 +263,24 @@ def empirical_chf_grid(sset: LineSampleSet, u_axis, v_axis,
     au, iu = np.unique(np.abs(u), return_inverse=True)
     av, iv = np.unique(np.abs(v), return_inverse=True)
     nu, nv = au.size, av.size
-    xu, lift_u = _chf_nodes(au, float(np.max(np.abs(z.real))))
-    xv, lift_v = _chf_nodes(av, float(np.max(np.abs(z.imag))))
-    # One real product per chunk: [Cu; Su] [Cv; Sv]^T = [[CC, CS], [SC, SS]].
-    acc = np.zeros((2 * xu.size, 2 * xv.size))
-    for i in range(0, z.size, chunk):
-        zc = z[i:i + chunk]
-        acc += _cos_sin_rows(xu, zc.real) @ _cos_sin_rows(xv, zc.imag).T
-    acc = acc if lift_u is None else np.kron(np.eye(2), lift_u) @ acc
-    acc = acc if lift_v is None else acc @ np.kron(np.eye(2), lift_v).T
-    CC, CS, SC, SS = acc[:nu, :nv], acc[:nu, nv:], acc[nu:, :nv], acc[nu:, nv:]
-    s = np.sign(u)[:, None]
-    r = np.sign(v)
-    pick = np.ix_(iu, iv)
+    bu, bv = _sample_nodes(au, z.real), _sample_nodes(av, z.imag)
+    # One real product per chunk; an exact axis gives [Cu; Su] [Cv; Sv]^T = [[CC, CS], [SC, SS]].
+    acc = sum(_sample_rows(au, bu, zc.real) @ _sample_rows(av, bv, zc.imag).T
+              for zc in (z[i:i + chunk] for i in range(0, z.size, chunk)))
+    acc = acc if bu is None else _cos_sin_rows(au, bu[0]) @ acc
+    acc = acc if bv is None else acc @ _cos_sin_rows(av, bv[0]).T
+
+    def pick(i, j):  # block (i, j) at the requested (u, v); one at a time bounds the temporaries
+        return acc[i:i + nu, j:j + nv][iu][:, iv]
+
+    s, r = np.sign(u)[:, None], np.sign(v)
     out = np.empty((u.size, v.size), dtype=complex)
-    out.real = CC[pick] - s * r * SS[pick]
-    out.imag = r * CS[pick] + s * SC[pick]
-    return out / z.size
+    out.real = pick(0, 0)
+    out.real -= pick(nu, nv) * r * s
+    out.imag = pick(0, nv) * r
+    out.imag += pick(nu, 0) * s
+    out /= z.size
+    return out
 
 
 def gaussian_chf(u, v):
@@ -449,14 +467,14 @@ def _axis_nodes(delta: float, rate: float, level: int):
 
     The 0.25 cap keeps smooth-but-sharp factors (a Gaussian chf decays
     on the scale 1/(2 pi)) resolved even when the nominal rate is low.
-    The nodes are made exactly antisymmetric and the weights exactly
-    symmetric (as numpy's leggauss does), so `empirical_chf_grid` can
-    fold every +/- pair.
+    The panels of [0, delta] are mirrored onto [-delta, 0], so xi = 0, where
+    a majorant's transform has its kink, is always a panel edge, the nodes
+    are exactly antisymmetric and the weights exactly symmetric, and
+    `empirical_chf_grid` folds every +/- pair.
     """
-    from .bandlimit import _panel_nodes
     max_len = min(10.0 / (2.0 * np.pi * max(rate, 1e-9)), 0.25, delta / 2.0) / level
-    u, w = _panel_nodes(-delta, delta, max_len)
-    return 0.5 * (u - u[::-1]), 0.5 * (w + w[::-1])
+    u, w = _panel_nodes(0.0, delta, max_len)
+    return np.r_[-u[::-1], u], np.r_[w[::-1], w]
 
 
 def rect_prob_from_chf(chf, F: BandlimitedFunction, G: BandlimitedFunction,
@@ -472,8 +490,10 @@ def rect_prob_from_chf(chf, F: BandlimitedFunction, G: BandlimitedFunction,
     indicators makes [lower, upper] a true sandwich of the rectangle
     probability up to quadrature error.  Fhat and Ghat are exact
     (`BandlimitedFunction.hat`), so the only quadrature error left is
-    the one over (u, v), which a node-doubling check bounds by quad_tol
-    (failure raises QuadratureError).
+    the one over (u, v).  Their kink at 0 is a panel edge of
+    `_axis_nodes`, so each panel's rule converges spectrally, and a
+    node-doubling check bounds that error by quad_tol (failure raises
+    QuadratureError).
 
     osc_rate_u/v: scale of the fastest oscillation of chf in each
     variable (max |Re z|, |Im z| for an empirical chf); the quadrature
@@ -496,23 +516,13 @@ def rect_prob_from_chf(chf, F: BandlimitedFunction, G: BandlimitedFunction,
     def sandwich(level: int):
         u, wu = _axis_nodes(F.delta, rate_u, level)
         v, wv = _axis_nodes(G.delta, rate_v, level)
-        fp = F.hat(u)
-        fm = F_minus.hat(u)
-        gp = G.hat(v)
-        gm = G_minus.hat(v)
         M = np.asarray(chf(u, v), dtype=complex)
         if M.shape != (u.size, v.size):
             raise DomainError("chf callable must return a (len(u), len(v)) matrix")
-        wfp = wu * fp
-        wfm = wu * fm
-        wgp = wv * gp
-        wgm = wv * gm
-        I_pp = (wfp @ M @ wgp).real
-        I_mp = (wfm @ M @ wgp).real
-        I_pm = (wfp @ M @ wgm).real
-        upper = I_pp
-        lower = I_mp + I_pm - I_pp
-        return lower, upper, u.size
+        wfp, wfm = wu * F.hat(u), wu * F_minus.hat(u)
+        wgp, wgm = wv * G.hat(v), wv * G_minus.hat(v)
+        upper = (wfp @ M @ wgp).real
+        return (wfm @ M @ wgp).real + (wfp @ M @ wgm).real - upper, upper, u.size
 
     lo1, up1, n1 = sandwich(1)
     lo2, up2, n2 = sandwich(2)

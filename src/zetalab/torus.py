@@ -228,14 +228,14 @@ def chf_product(model: TorusModel, u, v, quad_points: int = 64):
     if quad_points < 64:
         raise DomainError(f"quad_points must be >= 64, got {quad_points}")
     ua, va, scalar = _axes("chf_product", u, v)
-    counts = np.bincount(model.term_prime_index, minlength=model.n_primes())
-    single_coeff = model.term_coeff[counts[model.term_prime_index] == 1]
-    # Terms of the primes with several terms as a padded matrix:
-    # coeff_mat[g, j] is the (j+1)-th power coefficient of prime g.
+    several = np.bincount(model.term_prime_index, minlength=model.n_primes()) > 1
+    multi = several[model.term_prime_index]  # the terms of the primes with several terms
+    single_coeff = model.term_coeff[~multi]
+    # Those as a padded matrix: coeff_mat[g, j] is the (j+1)-th coefficient of the g-th.
     max_exp = int(np.max(model.term_exponent)) if len(model) else 1
-    coeff_mat = np.zeros((model.n_primes(), max_exp))
-    coeff_mat[model.term_prime_index, model.term_exponent - 1] = model.term_coeff
-    coeff_mat = coeff_mat[counts > 1]
+    coeff_mat = np.zeros((np.count_nonzero(several), max_exp))
+    coeff_mat[np.cumsum(several)[model.term_prime_index[multi]] - 1,
+              model.term_exponent[multi] - 1] = model.term_coeff[multi]
     # _j0 cuts its series at its largest argument, so it runs once per radius.
     radii, at = np.unique(np.hypot.outer(ua, va).ravel(), return_inverse=True)
     bessel = np.array([np.prod(_j0(2.0 * math.pi * r * single_coeff)) for r in radii.tolist()])

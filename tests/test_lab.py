@@ -109,19 +109,20 @@ def _exact_rows_grid(sset, u, v, chunk=4096):
 
 
 def test_chf_grid_by_interpolation_matches_exact_rows(gauss_20k):
-    # The sandwich's quadrature axes, on the samples and on a copy scaled x5
-    # (max |x| about 21, so 5x the nodes): Chebyshev nodes and lifts against
-    # the rows at every distinct |u|, on every seventh row and column.
+    # The sandwich's quadrature axes, on the samples and on copies scaled x2 and
+    # x5 (max |x| about 8.5 and 21): Chebyshev points in the samples' range and
+    # Lagrange rows against the rows at every distinct |u|, on every seventh row
+    # and column.  The x5 copy needs more points than its axes have |u|, so it
+    # takes the exact rows.
     z0 = gauss_20k.ok_samples()
     lifted = 0
-    for scale in (1.0, 5.0):
+    for scale in (1.0, 2.0, 5.0):
         sset = lab.LineSampleSet(context=None, t_values=gauss_20k.t_values, samples=scale * z0,
                                  flags=gauss_20k.flags, sampling={})
-        x_max = float(np.max(np.abs(sset.ok_samples().real)))
         for delta in (1.0, 4.0):
             for level in (1, 2):
                 u, _ = lab._axis_nodes(delta, 6.0, level)
-                lifted += lab._chf_nodes(np.unique(np.abs(u)), x_max)[1] is not None
+                lifted += lab._sample_nodes(np.unique(np.abs(u)), scale * z0.real) is not None
                 grid = lab.empirical_chf_grid(sset, u, u)
                 some = np.r_[0:u.size:7, u.size - 1]
                 want = _exact_rows_grid(sset, u[some], u[some])
@@ -139,30 +140,64 @@ def test_chf_grid_by_interpolation_matches_exact_rows(gauss_20k):
 
 
 def test_chf_node_rule_meets_its_tolerance():
-    # The rule's node count n, with the interpolant rebuilt in long double so
-    # that the interpolation error alone shows (in double, rounding the nodes
+    # The rule's point count n, with the interpolant rebuilt in long double so
+    # that the interpolation error alone shows (in double, rounding the points
     # and phases costs about eps 2 pi A R, as it does the exact rows): cos and
-    # sin(2 pi a x) at x = +-R, lifted from n nodes, on a fine a-grid.
+    # sin(2 pi a x) at frequencies a up to A, interpolated from n points in the
+    # samples' range, on a fine x-grid of ranges about 0 and off it.
     if np.finfo(np.longdouble).eps > 1e-18:
         pytest.skip("needs an extended long double")
     ld = np.longdouble
     pi = np.arccos(ld(-1))
     for A, R in ((1.0, 3.4), (4.0, 4.3), (4.0, 21.0), (0.3, 0.5)):
-        a = np.linspace(0.0, A, 3000)  # even: no a at the middle node of an odd n
-        nodes, lift = lab._chf_nodes(a, R)
-        assert lift is not None and nodes.size < 400
-        theta = (np.arange(nodes.size) + ld(0.5)) * (pi / nodes.size)
-        at = ld(A) * (1 + np.cos(theta)) / 2
-        q = (-1.0) ** np.arange(nodes.size) * np.sin(theta) / (a.astype(ld)[:, None] - at)
-        for x in (-R, R):
-            for f in (np.cos, np.sin):
-                err = np.max(np.abs((q @ f(2 * pi * ld(x) * at)) / q.sum(axis=1)
-                                    - f(2 * pi * ld(x) * a.astype(ld))))
-                assert err <= lab._CHEB_TOL, (A, R, x, f, err)
-        # A magnitude that equals a node takes the unit row.
-        b = np.sort(np.r_[a, nodes[5]])
-        row = lab._chf_nodes(b, R)[1][np.searchsorted(b, nodes[5])]
-        assert np.array_equal(row, np.arange(nodes.size) == 5)
+        a = np.linspace(0.0, A, 3000)
+        for lo, hi in ((-R, R), (-0.5 * R, R), (R, 3.0 * R)):
+            basis = lab._sample_nodes(a, np.array([hi, lo, 0.5 * (lo + hi)]))
+            assert basis is not None
+            nodes, n = basis[0], basis[0].size
+            assert n <= 1.2 * math.pi * A * (hi - lo) + 40, (A, R, lo, hi, n)
+            theta = (np.arange(n) + ld(0.5)) * (pi / n)
+            at = (ld(lo) + ld(hi)) / 2 + (ld(hi) - ld(lo)) / 2 * np.cos(theta)
+            x = np.linspace(ld(lo), ld(hi), 2000)  # even: no x at the middle node of an odd n
+            q = (-1.0) ** np.arange(n) * np.sin(theta) / (x[:, None] - at)
+            for freq in (ld(A), ld(0.5 * A), ld(0.123 * A)):
+                for f in (np.cos, np.sin):
+                    err = np.max(np.abs((q @ f(2 * pi * freq * at)) / q.sum(axis=1)
+                                        - f(2 * pi * freq * x)))
+                    assert err <= lab._CHEB_TOL, (A, R, lo, hi, freq, f, err)
+            # A sample on a node takes the unit column.
+            rows = lab._sample_rows(a, basis, np.r_[lo, nodes[5], hi])
+            assert np.array_equal(rows[:, 1], np.arange(n) == 5)
+    # A range of width 0, or one that needs more points than the axis has |u|,
+    # takes the exact rows.
+    assert lab._sample_nodes(a, np.full(7, 0.3)) is None
+    assert lab._sample_nodes(np.linspace(0.0, 4.0, 40), np.array([-21.0, 21.0])) is None
+
+
+def test_chf_grid_edge_cases_match_pointwise(gauss_20k):
+    # Each case against empirical_chf on every seventh row and column, in one
+    # chunk and in chunks of 1000: all Re z equal (an exact u-axis beside an
+    # interpolated v-axis), a sample exactly on a Chebyshev point, a single
+    # sample, and the sandwich's axis beside an 11-point one.
+    u, _ = lab._axis_nodes(1.0, 6.0, 1)
+    z = gauss_20k.ok_samples()[:2500].copy()
+    on_node = z.copy()
+    nodes = lab._sample_nodes(np.unique(np.abs(u)), on_node.real)[0]
+    on_node[1] = nodes[7] + 1j * on_node[1].imag
+    assert np.array_equal(lab._sample_nodes(np.unique(np.abs(u)), on_node.real)[0], nodes)
+    eleven = np.linspace(-1.0, 1.0, 11)
+    cases = [(0.7 + 1j * z.imag, u, u), (on_node, u, u),
+             (np.array([0.3 - 0.4j]), u, u), (z, u, eleven)]
+    for samples, ua, va in cases:
+        sset = lab.LineSampleSet(context=None, t_values=np.arange(samples.size, dtype=float),
+                                 samples=samples, flags=np.zeros(samples.size, np.uint8),
+                                 sampling={})
+        rows, cols = np.r_[0:ua.size:7, ua.size - 1], np.r_[0:va.size:7, va.size - 1]
+        want = np.array([[lab.empirical_chf(sset, float(ua[i]), float(va[j])) for j in cols]
+                         for i in rows])
+        for chunk in (4096, 1000):
+            grid = lab.empirical_chf_grid(sset, ua, va, chunk=chunk)
+            assert np.max(np.abs(grid[np.ix_(rows, cols)] - want)) <= 1e-12, (samples.size, chunk)
 
 
 def test_chf_grid_rejects_non_finite_axes_and_bad_chunk(gauss_20k):
@@ -411,8 +446,10 @@ def test_rect_prob_from_chf_gaussian_route():
     with pytest.raises(DomainError):
         lab.rect_prob_from_chf(
             chf, selberg_interval(-1.0, 1.0, 4.0, "minorant"), F)
+    # With xi = 0 on a panel edge the two levels agree to rounding here, so the
+    # doubling check is shown a law at Re z = +-60 under the default rate of 6.
     with pytest.raises(QuadratureError):
-        lab.rect_prob_from_chf(chf, F, F, quad_tol=1e-16)
+        lab.rect_prob_from_chf(lambda u, v: chf(u, v) * np.cos(120.0 * np.pi * u)[:, None], F, F)
     # A nan tolerance would make the doubling check vacuous.
     for bad in (float("nan"), float("inf"), 0.0, -1e-5):
         with pytest.raises(DomainError):
@@ -443,6 +480,23 @@ def test_rect_prob_from_chf_brackets_direct_count(gauss_20k):
     fm, gm = F_minus(z.real), F_minus(z.imag)
     assert abs(sw.upper - np.mean(fp * gp)) <= 2e-5
     assert abs(sw.lower - np.mean(fm * gp + fp * gm - fp * gp)) <= 2e-5
+
+
+def test_sandwich_kink_sits_on_a_panel_edge(line_desk):
+    # The desk rectangles whose panels over [-4, 4] were odd in number on one axis,
+    # so that the kink of the majorants' transforms at 0 fell inside a panel
+    # (doubling_delta 1.2e-6 to 1.6e-6); mirrored panels put 0 on an edge.
+    z = line_desk.ok_samples()
+
+    def chf(u, v):
+        return lab.empirical_chf_grid(line_desk, u, v)
+
+    for a, b, c, d in ((-2.0, 2.0, -1.0, 1.0), (-0.5, 0.5, -2.0, 2.0)):
+        sw = lab.rect_prob_from_chf(chf, selberg_interval(a, b, 4.0, "majorant"),
+                                    selberg_interval(c, d, 4.0, "majorant"),
+                                    osc_rate_u=float(np.max(np.abs(z.real))),
+                                    osc_rate_v=float(np.max(np.abs(z.imag))))
+        assert sw.doubling_delta <= 1e-12, ((a, b, c, d), sw.doubling_delta)
 
 
 def test_time_average_matches_torus_moments(model_075_300):
