@@ -203,12 +203,14 @@ _CHEB_TOL, _RHO = 1e-15, 1.0 + np.geomspace(1e-3, 10.0, 200)
 
 def _sample_nodes(a: np.ndarray, x: np.ndarray):
     """(nodes, barycentric weights (-1)^m sin(theta_m)) of n first-kind Chebyshev points
-    on [min x, max x], or None for the exact rows.  On the Bernstein ellipse E_rho of a
-    range of half-width h, cos and sin(2 pi a x), a <= A = max a, are bounded by M =
-    exp(omega (rho - 1/rho) / 2), omega = 2 pi A h, so n points err by at most 4 M
-    rho^(1-n) / (rho - 1) (Trefethen, ATAP Thm 8.2).  n is the least that meets _CHEB_TOL
-    at some rho in _RHO; only h > 0 and n < a.size interpolate (never 16 or fewer a)."""
-    lo, hi = float(x.min()), float(x.max())
+    on the range [min |x|, max |x|] of the folded samples, or None for the exact rows.
+    On the Bernstein ellipse E_rho of a range of half-width h, cos and sin(2 pi a x),
+    a <= A = max a, are bounded by M = exp(omega (rho - 1/rho) / 2), omega = 2 pi A h, so
+    n points err by at most 4 M rho^(1-n) / (rho - 1) (Trefethen, ATAP Thm 8.2).  n is the
+    least that meets _CHEB_TOL at some rho in _RHO; only h > 0 and n < a.size interpolate
+    (never 16 or fewer a).  Samples about 0 give h <= max |x| / 2, so omega <= pi A max |x|."""
+    ax = np.abs(x)
+    lo, hi = float(ax.min()), float(ax.max())
     h = 0.5 * (hi - lo)
     omega = 2.0 * math.pi * a.max(initial=0.0) * h
     n = 1.0 + np.min(np.ceil((math.log(4.0 / _CHEB_TOL) - np.log(_RHO - 1.0)
@@ -221,19 +223,22 @@ def _sample_nodes(a: np.ndarray, x: np.ndarray):
 
 def _sample_rows(a: np.ndarray, basis, x: np.ndarray) -> np.ndarray:
     """The cos/sin rows at the samples x if basis is None, else their Lagrange rows
-    l_m(x), with a unit column at the nearest node where a sample's 1/(x - node) overflows."""
+    l_m(|x|) stacked above sign(x) l_m(|x|) (cos is even in x, sin odd), with a unit
+    column at the nearest node where a sample's 1/(|x| - node) overflows."""
     if basis is None:
         return _cos_sin_rows(a, x)
     nodes, weights = basis
-    q = np.subtract.outer(nodes, x)
+    out = np.empty((2 * nodes.size, x.size))
+    q = np.subtract.outer(nodes, np.abs(x), out=out[:nodes.size])
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(weights[:, None], q, out=q)
         total = q.sum(axis=0)
         q /= total
     hit = ~np.isfinite(total)
-    near = np.abs(np.subtract.outer(nodes, x[hit])).argmin(axis=0)
+    near = np.abs(np.subtract.outer(nodes, np.abs(x[hit]))).argmin(axis=0)
     q[:, hit] = np.arange(nodes.size)[:, None] == near
-    return q
+    np.multiply(q, np.sign(x), out=out[nodes.size:])
+    return out
 
 
 def empirical_chf_grid(sset: LineSampleSet, u_axis, v_axis,
@@ -248,12 +253,13 @@ def empirical_chf_grid(sset: LineSampleSet, u_axis, v_axis,
 
     summed over the samples as the blocks [[CC, CS], [SC, SS]] of one real
     product.  An axis with more distinct |u| than the Chebyshev points that
-    `_sample_nodes` puts in its samples' range (about 50 on the `sandwich`
-    axes, which have up to 192 distinct |u|) interpolates in the samples:
-    each chunk adds its Lagrange rows l(X) l(Y)^T to a small mass W, and the
-    rows at the points make each block rows_u W rows_v^T, 4 _CHEB_TOL from
-    the exact rows beside rounding, with no cos/sin per sample.  Any other
-    axis takes the exact cos/sin rows at the samples.
+    `_sample_nodes` puts on the range of its folded samples |X| (36 and 38
+    on the `sandwich` axes, which have up to 192 distinct |u|) interpolates
+    in the samples: cos is even and sin odd, so each chunk adds the Lagrange
+    rows [l(|X|); sign(X) l(|X|)] of both axes to a small mass W, and the
+    rows at the points make each block, e.g. CS = Cu(xi) W[+, -] Sv(eta)^T,
+    4 _CHEB_TOL from the exact rows beside rounding, with no cos/sin per
+    sample.  Any other axis takes the exact cos/sin rows at the samples.
     """
     u = np.atleast_1d(np.asarray(u_axis, dtype=float))
     v = np.atleast_1d(np.asarray(v_axis, dtype=float))
@@ -267,11 +273,15 @@ def empirical_chf_grid(sset: LineSampleSet, u_axis, v_axis,
     # One real product per chunk; an exact axis gives [Cu; Su] [Cv; Sv]^T = [[CC, CS], [SC, SS]].
     acc = sum(_sample_rows(au, bu, zc.real) @ _sample_rows(av, bv, zc.imag).T
               for zc in (z[i:i + chunk] for i in range(0, z.size, chunk)))
-    acc = acc if bu is None else _cos_sin_rows(au, bu[0]) @ acc
-    acc = acc if bv is None else acc @ _cos_sin_rows(av, bv[0]).T
+    if bu is not None:  # the cosines at the points take l(|X|), the sines sign(X) l(|X|)
+        cs, m = _cos_sin_rows(au, bu[0]), bu[0].size
+        acc = np.r_[cs[:nu] @ acc[:m], cs[nu:] @ acc[m:]]
+    if bv is not None:
+        cs, m = _cos_sin_rows(av, bv[0]), bv[0].size
+        acc = np.c_[acc[:, :m] @ cs[:nv].T, acc[:, m:] @ cs[nv:].T]
 
     def pick(i, j):  # block (i, j) at the requested (u, v); one at a time bounds the temporaries
-        return acc[i:i + nu, j:j + nv][iu][:, iv]
+        return acc[i:i + nu, j:j + nv].take(iu, axis=0).take(iv, axis=1)
 
     s, r = np.sign(u)[:, None], np.sign(v)
     out = np.empty((u.size, v.size), dtype=complex)
@@ -516,13 +526,23 @@ def rect_prob_from_chf(chf, F: BandlimitedFunction, G: BandlimitedFunction,
     def sandwich(level: int):
         u, wu = _axis_nodes(F.delta, rate_u, level)
         v, wv = _axis_nodes(G.delta, rate_v, level)
+        fp = F.hat(u)
+        fm = F_minus.hat(u)
+        gp = G.hat(v)
+        gm = G_minus.hat(v)
         M = np.asarray(chf(u, v), dtype=complex)
         if M.shape != (u.size, v.size):
             raise DomainError("chf callable must return a (len(u), len(v)) matrix")
-        wfp, wfm = wu * F.hat(u), wu * F_minus.hat(u)
-        wgp, wgm = wv * G.hat(v), wv * G_minus.hat(v)
-        upper = (wfp @ M @ wgp).real
-        return (wfm @ M @ wgp).real + (wfp @ M @ wgm).real - upper, upper, u.size
+        wfp = wu * fp
+        wfm = wu * fm
+        wgp = wv * gp
+        wgm = wv * gm
+        I_pp = (wfp @ M @ wgp).real
+        I_mp = (wfm @ M @ wgp).real
+        I_pm = (wfp @ M @ wgm).real
+        upper = I_pp
+        lower = I_mp + I_pm - I_pp
+        return lower, upper, u.size
 
     lo1, up1, n1 = sandwich(1)
     lo2, up2, n2 = sandwich(2)

@@ -110,10 +110,11 @@ def _exact_rows_grid(sset, u, v, chunk=4096):
 
 def test_chf_grid_by_interpolation_matches_exact_rows(gauss_20k):
     # The sandwich's quadrature axes, on the samples and on copies scaled x2 and
-    # x5 (max |x| about 8.5 and 21): Chebyshev points in the samples' range and
+    # x5 (max |x| about 8.5 and 21): Chebyshev points in the range of |x| and
     # Lagrange rows against the rows at every distinct |u|, on every seventh row
-    # and column.  The x5 copy needs more points than its axes have |u|, so it
-    # takes the exact rows.
+    # and column.  At level 1 the x5 copy (and the x2 copy at delta 1) needs no
+    # fewer points than its axes have |u| and takes the exact rows; its level-2
+    # legs interpolate (118 and 354 points), so wide ranges meet the same bounds.
     z0 = gauss_20k.ok_samples()
     lifted = 0
     for scale in (1.0, 2.0, 5.0):
@@ -131,7 +132,7 @@ def test_chf_grid_by_interpolation_matches_exact_rows(gauss_20k):
                 for i, j in ((0, 1), (u.size // 3, u.size - 1), (u.size // 2, u.size // 2)):
                     want = lab.empirical_chf(sset, float(u[i]), float(u[j]))
                     assert abs(grid[i, j] - want) <= 1e-12
-    assert lifted >= 6
+    assert lifted >= 9
     # An 11-point axis, as `dist` tabulates, has fewer distinct |u| than nodes:
     # the exact rows, bit for bit.
     axis = np.linspace(-1.0, 1.0, 11)
@@ -144,15 +145,15 @@ def test_chf_node_rule_meets_its_tolerance():
     # that the interpolation error alone shows (in double, rounding the points
     # and phases costs about eps 2 pi A R, as it does the exact rows): cos and
     # sin(2 pi a x) at frequencies a up to A, interpolated from n points in the
-    # samples' range, on a fine x-grid of ranges about 0 and off it.
+    # range [lo, hi] of |x|, on a fine x-grid of ranges from 0 and off it.
     if np.finfo(np.longdouble).eps > 1e-18:
         pytest.skip("needs an extended long double")
     ld = np.longdouble
     pi = np.arccos(ld(-1))
     for A, R in ((1.0, 3.4), (4.0, 4.3), (4.0, 21.0), (0.3, 0.5)):
         a = np.linspace(0.0, A, 3000)
-        for lo, hi in ((-R, R), (-0.5 * R, R), (R, 3.0 * R)):
-            basis = lab._sample_nodes(a, np.array([hi, lo, 0.5 * (lo + hi)]))
+        for lo, hi in ((0.0, R), (0.5 * R, R), (R, 3.0 * R)):
+            basis = lab._sample_nodes(a, np.array([-hi, lo, 0.5 * (lo + hi)]))
             assert basis is not None
             nodes, n = basis[0], basis[0].size
             assert n <= 1.2 * math.pi * A * (hi - lo) + 40, (A, R, lo, hi, n)
@@ -165,25 +166,27 @@ def test_chf_node_rule_meets_its_tolerance():
                     err = np.max(np.abs((q @ f(2 * pi * freq * at)) / q.sum(axis=1)
                                         - f(2 * pi * freq * x)))
                     assert err <= lab._CHEB_TOL, (A, R, lo, hi, freq, f, err)
-            # A sample on a node takes the unit column.
-            rows = lab._sample_rows(a, basis, np.r_[lo, nodes[5], hi])
-            assert np.array_equal(rows[:, 1], np.arange(n) == 5)
-    # A range of width 0, or one that needs more points than the axis has |u|,
-    # takes the exact rows.
-    assert lab._sample_nodes(a, np.full(7, 0.3)) is None
-    assert lab._sample_nodes(np.linspace(0.0, 4.0, 40), np.array([-21.0, 21.0])) is None
+            # A sample on a node, or on its mirror, takes the unit column, negated
+            # in the rows that carry sign(x).
+            rows = lab._sample_rows(a, basis, np.r_[lo, nodes[5], -nodes[5], hi])
+            assert np.array_equal(rows[:n, 1], np.arange(n) == 5)
+            assert np.array_equal(rows[:, 2], np.r_[rows[:n, 1], -rows[n:, 1]])
+    # A range of |x| of width 0, or one that needs more points than the axis has
+    # |u|, takes the exact rows.
+    assert lab._sample_nodes(a, np.r_[np.full(7, 0.3), -0.3]) is None
+    assert lab._sample_nodes(np.linspace(0.0, 4.0, 40), np.array([0.0, -21.0])) is None
 
 
 def test_chf_grid_edge_cases_match_pointwise(gauss_20k):
     # Each case against empirical_chf on every seventh row and column, in one
     # chunk and in chunks of 1000: all Re z equal (an exact u-axis beside an
-    # interpolated v-axis), a sample exactly on a Chebyshev point, a single
-    # sample, and the sandwich's axis beside an 11-point one.
+    # interpolated v-axis), samples exactly on a Chebyshev point and on its
+    # mirror, a single sample, and the sandwich's axis beside an 11-point one.
     u, _ = lab._axis_nodes(1.0, 6.0, 1)
     z = gauss_20k.ok_samples()[:2500].copy()
     on_node = z.copy()
     nodes = lab._sample_nodes(np.unique(np.abs(u)), on_node.real)[0]
-    on_node[1] = nodes[7] + 1j * on_node[1].imag
+    on_node[1:3] = np.r_[nodes[7], -nodes[7]] + 1j * on_node[1:3].imag
     assert np.array_equal(lab._sample_nodes(np.unique(np.abs(u)), on_node.real)[0], nodes)
     eleven = np.linspace(-1.0, 1.0, 11)
     cases = [(0.7 + 1j * z.imag, u, u), (on_node, u, u),
@@ -447,9 +450,17 @@ def test_rect_prob_from_chf_gaussian_route():
         lab.rect_prob_from_chf(
             chf, selberg_interval(-1.0, 1.0, 4.0, "minorant"), F)
     # With xi = 0 on a panel edge the two levels agree to rounding here, so the
-    # doubling check is shown a law at Re z = +-60 under the default rate of 6.
+    # doubling check is shown a law at Re z = +-60 under the default rate of 6,
+    # and a caller's quad_tol one at Re z = +-24, whose levels differ by 3.8e-9.
     with pytest.raises(QuadratureError):
         lab.rect_prob_from_chf(lambda u, v: chf(u, v) * np.cos(120.0 * np.pi * u)[:, None], F, F)
+
+    def chf24(u, v):
+        return chf(u, v) * np.cos(48.0 * np.pi * u)[:, None]
+
+    assert lab.rect_prob_from_chf(chf24, F, F).doubling_delta <= 1e-8
+    with pytest.raises(QuadratureError):
+        lab.rect_prob_from_chf(chf24, F, F, quad_tol=1e-10)
     # A nan tolerance would make the doubling check vacuous.
     for bad in (float("nan"), float("inf"), 0.0, -1e-5):
         with pytest.raises(DomainError):
