@@ -43,7 +43,7 @@ print(f"  conjugate-symmetry deviation:  {cert['conj_symmetry_max_dev']:.2e}")
 print(f"  passed: {cert['passed']}")
 
 # --- Domination slack never goes negative. ------------------------------
-rep = bandlimit.domination_report(upper, n_grid=10_000)
+rep = bandlimit.domination_report(upper)
 print(f"\nmajorant domination: min slack {rep['min_slack']:.2e} "
       f"at x = {rep['argmin_x']:.4f}")
 grid = np.linspace(-3.0, 3.0, 13)

@@ -92,19 +92,19 @@ class PrimePowerTable:
             raise ValueError("prime power values must be strictly increasing")
 
 
-def prime_powers_up_to(x: float, cap: int = TABLE_CAP_DEFAULT) -> PrimePowerTable:
+def prime_powers_up_to(x: float) -> PrimePowerTable:
     """Complete sorted table of prime powers p^n <= x.
 
     Sieve of Eratosthenes plus a prime-power post-pass; O(x log log x) time
     and O(x) transient memory for the sieve mask. ``x`` must be >= 2 and at
-    most ``cap`` (default 1e8) because the mask and table are materialized.
+    most TABLE_CAP_DEFAULT (1e8) because the mask and table are materialized.
     """
     if not (x >= 2):
         raise DomainError(f"prime_powers_up_to requires x >= 2, got {x}")
-    if x > cap:
+    if x > TABLE_CAP_DEFAULT:
         raise TableCapError(
-            f"requested bound {x:g} exceeds table cap {cap:g}; "
-            "raise cap explicitly or use lambda_segments for streaming"
+            f"requested bound {x:g} exceeds table cap {TABLE_CAP_DEFAULT:g}; "
+            "use lambda_segments for streaming"
         )
     limit = int(math.floor(x))
     primes = sieve_primes(limit)

@@ -359,10 +359,10 @@ def verify_bandlimit(F: BandlimitedFunction, window: float | None = None) -> dic
     return report
 
 
-def domination_report(F: BandlimitedFunction, n_grid: int = 10_000) -> dict:
+def domination_report(F: BandlimitedFunction) -> dict:
     """Pointwise domination check of F against the indicator on a grid.
 
-    The grid spans [a - 5/delta, b + 5/delta].  For a
+    The grid has 10,000 points spanning [a - 5/delta, b + 5/delta].  For a
     majorant the slack is F - 1_[a,b]; for a minorant, 1_[a,b] - F.  A
     correct construction keeps the minimum slack above float rounding
     (>= -1e-12 scale).  Also reports the measured constant in the
@@ -370,7 +370,7 @@ def domination_report(F: BandlimitedFunction, n_grid: int = 10_000) -> dict:
     dominates the slack.
     """
     d = F.delta
-    grid = np.linspace(F.a - 5.0 / d, F.b + 5.0 / d, int(n_grid))
+    grid = np.linspace(F.a - 5.0 / d, F.b + 5.0 / d, 10_000)
     sign = 1.0 if F.kind == "majorant" else -1.0
     slack = sign * (F(grid) - F.indicator(grid))
     envelope = np.sinc(d * (grid - F.a)) ** 2 + np.sinc(d * (grid - F.b)) ** 2
@@ -379,7 +379,7 @@ def domination_report(F: BandlimitedFunction, n_grid: int = 10_000) -> dict:
     i_min = int(np.argmin(slack))
     return {
         "kind": F.kind,
-        "n_grid": int(n_grid),
+        "n_grid": grid.size,
         "grid_lo": float(grid[0]),
         "grid_hi": float(grid[-1]),
         "min_slack": float(slack[i_min]),

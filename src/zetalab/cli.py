@@ -78,16 +78,6 @@ def _load_config(path):
     return cfg
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
-
-
 def _write_outputs(out_dir: str, files: dict) -> None:
     """Write all buffered outputs atomically: each file goes to a temporary
     sibling first, and only when every write succeeded are they renamed
@@ -433,7 +423,7 @@ def main(argv=None) -> int:
         body, tables, ok, line = handler(params, **common)
         doc = {"command": args.command, "params": params, "generated_at":
                datetime.datetime.now(datetime.timezone.utc).isoformat(), **body}
-        text = json.dumps(doc, sort_keys=True, indent=2, default=_json_default) + "\n"
+        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
         _write_outputs(out, {f"{args.command}.json": text, **tables})
     except ZetalabError as exc:
         print(f"error: {exc}", file=sys.stderr)

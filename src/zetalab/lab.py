@@ -31,6 +31,8 @@ FLAG_PRECISION = 2
 
 # Random t split over worker processes: chunks a multiple of zeta.BAND.
 _WORKER_CHUNK = 8 * zeta.BAND
+# Samples per real product in empirical_chf_grid; bounds its temporaries.
+_CHUNK = 4096
 _DEFAULT_COUNT = 20_000
 _WARN_EXCLUDED = 0.10
 
@@ -241,8 +243,7 @@ def _sample_rows(a: np.ndarray, basis, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def empirical_chf_grid(sset: LineSampleSet, u_axis, v_axis,
-                       chunk: int = 4096) -> np.ndarray:
+def empirical_chf_grid(sset: LineSampleSet, u_axis, v_axis) -> np.ndarray:
     """Empirical chf on a tensor grid: out[i, j] = chf(u_i, v_j).
 
     Factorizes e(u X + v Y) = e(u X) e(v Y) and folds each axis onto its
@@ -252,19 +253,20 @@ def empirical_chf_grid(sset: LineSampleSet, u_axis, v_axis,
         n out = (CuCv - s r SuSv) + i (r CuSv + s SuCv),
 
     summed over the samples as the blocks [[CC, CS], [SC, SS]] of one real
-    product.  An axis with more distinct |u| than the Chebyshev points that
-    `_sample_nodes` puts on the range of its folded samples |X| (36 and 38
-    on the `sandwich` axes, which have up to 192 distinct |u|) interpolates
-    in the samples: cos is even and sin odd, so each chunk adds the Lagrange
-    rows [l(|X|); sign(X) l(|X|)] of both axes to a small mass W, and the
-    rows at the points make each block, e.g. CS = Cu(xi) W[+, -] Sv(eta)^T,
-    4 _CHEB_TOL from the exact rows beside rounding, with no cos/sin per
-    sample.  Any other axis takes the exact cos/sin rows at the samples.
+    product per chunk of _CHUNK = 4096 samples.  An axis with more distinct
+    |u| than the Chebyshev points that `_sample_nodes` puts on the range of
+    its folded samples |X| (36 and 38 on the `sandwich` axes, which have up
+    to 192 distinct |u|) interpolates in the samples: cos is even and sin
+    odd, so each chunk adds the Lagrange rows [l(|X|); sign(X) l(|X|)] of
+    both axes to a small mass W, and the rows at the points make each block,
+    e.g. CS = Cu(xi) W[+, -] Sv(eta)^T, 4 _CHEB_TOL from the exact rows
+    beside rounding, with no cos/sin per sample.  Any other axis takes the
+    exact cos/sin rows at the samples.
     """
     u = np.atleast_1d(np.asarray(u_axis, dtype=float))
     v = np.atleast_1d(np.asarray(v_axis, dtype=float))
-    if not hasattr(chunk, "__index__") or chunk < 1 or not np.isfinite(np.r_[u, v]).all():
-        raise DomainError(f"empirical chf needs finite axes and integer chunk >= 1, got {chunk!r}")
+    if not np.isfinite(np.r_[u, v]).all():
+        raise DomainError("empirical chf needs finite axes")
     z = sset.ok_samples()
     au, iu = np.unique(np.abs(u), return_inverse=True)
     av, iv = np.unique(np.abs(v), return_inverse=True)
@@ -272,7 +274,7 @@ def empirical_chf_grid(sset: LineSampleSet, u_axis, v_axis,
     bu, bv = _sample_nodes(au, z.real), _sample_nodes(av, z.imag)
     # One real product per chunk; an exact axis gives [Cu; Su] [Cv; Sv]^T = [[CC, CS], [SC, SS]].
     acc = sum(_sample_rows(au, bu, zc.real) @ _sample_rows(av, bv, zc.imag).T
-              for zc in (z[i:i + chunk] for i in range(0, z.size, chunk)))
+              for zc in (z[i:i + _CHUNK] for i in range(0, z.size, _CHUNK)))
     if bu is not None:  # the cosines at the points take l(|X|), the sines sign(X) l(|X|)
         cs, m = _cos_sin_rows(au, bu[0]), bu[0].size
         acc = np.r_[cs[:nu] @ acc[:m], cs[nu:] @ acc[m:]]
@@ -586,15 +588,8 @@ def time_vs_torus_moments(poly_samples, model, m: int, k: int) -> dict:
 
 def samples_csv_text(sset: LineSampleSet) -> str:
     """CSV text: t, re, im, flag (floats via repr; re, im empty unless flag is ok)."""
-    rows = ["t,re,im,flag"]
-    for t, z, fl in zip(sset.t_values, sset.samples, sset.flags):
-        re_s = repr(float(z.real)) if fl == FLAG_OK else ""
-        im_s = repr(float(z.imag)) if fl == FLAG_OK else ""
-        rows.append(f"{float(t)!r},{re_s},{im_s},{int(fl)}")
-    return "\n".join(rows) + "\n"
-
-
-def write_samples_csv(sset: LineSampleSet, path) -> None:
-    """Write a sample set; see samples_csv_text for the format."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(samples_csv_text(sset))
+    ok = (sset.flags == FLAG_OK).tolist()
+    re_cells, im_cells = ([repr(x) if k else "" for x, k in zip(part.tolist(), ok)]
+                          for part in (sset.samples.real, sset.samples.imag))
+    columns = (map(repr, sset.t_values.tolist()), re_cells, im_cells, map(repr, sset.flags.tolist()))
+    return "\n".join(["t,re,im,flag", *map(",".join, zip(*columns))]) + "\n"

@@ -320,9 +320,3 @@ def scan_csv_text(result: ScanResult) -> str:
                result.poly.imag, res_abs, result.bound, (~ok).astype(int))
     rows = [",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns))]
     return "\n".join(["t,lhs_re,lhs_im,poly_re,poly_im,res_abs,bound,flagged", *rows]) + "\n"
-
-
-def write_scan_csv(path, result: ScanResult) -> None:
-    """CSV dump of a scan; see scan_csv_text for the column layout."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(scan_csv_text(result))

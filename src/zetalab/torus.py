@@ -207,7 +207,7 @@ def _axes(name: str, u, v) -> tuple[np.ndarray, np.ndarray, bool]:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a phase past the float range raises below
-def chf_product(model: TorusModel, u, v, quad_points: int = 64):
+def chf_product(model: TorusModel, u, v):
     """Exact chf E[e(u Re S + v Im S)] as a product of per-prime factors.
 
     u and v are floats (a complex result) or 1-d axes (the matrix
@@ -217,16 +217,14 @@ def chf_product(model: TorusModel, u, v, quad_points: int = 64):
     Jacobi-Anger expansion, evaluated by _j0 (Maclaurin series, the midpoint
     rule past x = 2, Hankel's expansion past x = 25). Each prime with several
     terms contributes a periodic integral evaluated by the midpoint rule
-    (spectrally accurate here), with point-doubling per node until successive
-    values of the whole product agree below 1e-12; a product that is not
-    finite raises QuadratureError at once. The grid runs as a whole: J0 once
-    per distinct radius, and at each K one factor e(u_i Re z) per row and one
-    e(v_j Im z) per column, in blocks of at most _CHF_BLOCK_BYTES. Each node
-    sums in an order that does not depend on the grid, so each entry equals
-    its one-node call bit for bit.
+    (spectrally accurate here) on K = 64 points, doubled per node up to
+    64 * 2^8 until successive values of the whole product agree below 1e-12;
+    a product that is not finite raises QuadratureError at once. The grid
+    runs as a whole: J0 once per distinct radius, and at each K one factor
+    e(u_i Re z) per row and one e(v_j Im z) per column, in blocks of at most
+    _CHF_BLOCK_BYTES. Each node sums in an order that does not depend on the
+    grid, so each entry equals its one-node call bit for bit.
     """
-    if quad_points < 64:
-        raise DomainError(f"quad_points must be >= 64, got {quad_points}")
     ua, va, scalar = _axes("chf_product", u, v)
     several = np.bincount(model.term_prime_index, minlength=model.n_primes()) > 1
     multi = several[model.term_prime_index]  # the terms of the primes with several terms
@@ -242,7 +240,7 @@ def chf_product(model: TorusModel, u, v, quad_points: int = 64):
     out, bessel = np.empty((ua.size, va.size), dtype=complex), bessel[at].reshape(ua.size, va.size)
     unsettled = np.ones(out.shape, dtype=bool)
     prev = np.full(out.shape, np.inf)  # so that no node settles at the first K
-    for K in (int(quad_points) << d for d in range(9)):
+    for K in (64 << d for d in range(9)):
         theta = (np.arange(K) + 0.5) / K
         # z[g, k] = sum_j coeff[g, j] e((j+1) theta_k); e(u Re z + v Im z) = A[g, k] B[j, g, k]
         z = coeff_mat @ np.exp(2j * math.pi * np.outer(np.arange(1, max_exp + 1), theta))

@@ -389,6 +389,8 @@ class ZeroList:
         object.__setattr__(self, "gamma", gamma)
         if beta.shape != gamma.shape:
             raise DomainError("beta and gamma must have equal length")
+        if not (np.isfinite(gamma).all() and math.isfinite(self.coverage)):
+            raise DomainError(f"zero ordinates and coverage must be finite (coverage {self.coverage!r})")
         if gamma.size and not np.all(np.diff(gamma) > 0):
             raise DomainError("gamma ordinates must be strictly increasing")
         if beta.size and not (np.all(beta > 0) and np.all(beta < 1)):
@@ -489,36 +491,32 @@ def zero_table_text(zeros: ZeroList) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_zero_table(path, zeros: ZeroList) -> None:
-    """Write a zero table; see zero_table_text for the format."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(zero_table_text(zeros))
-
-
 def read_zero_table(path) -> ZeroList:
-    """Read a zero table written by write_zero_table (or by hand).
+    """Read a zero table in zero_table_text's format (or written by hand).
 
     Lines starting with '#' are comments; a '# coverage=...' comment is
-    honored, otherwise coverage defaults to the largest ordinate read.
+    honored, otherwise coverage defaults to the largest ordinate read.  A
+    line that is not ASCII, or is not two floats or a coverage float, raises
+    DomainError naming it.
     """
     betas: list[float] = []
     gammas: list[float] = []
     coverage = None
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("coverage="):
-                    coverage = float(body.split("=", 1)[1])
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise DomainError(f"malformed zero table line: {line!r}")
-            betas.append(float(parts[0]))
-            gammas.append(float(parts[1]))
+    with open(path, "rb") as fh:
+        for no, raw in enumerate(fh, 1):
+            try:  # UnicodeDecodeError is a ValueError too
+                line = raw.decode("ascii").strip()
+                if line.startswith("#"):
+                    body = line[1:].strip()
+                    if body.startswith("coverage="):
+                        coverage = float(body.split("=", 1)[1])
+                elif line:
+                    b, g = map(float, line.split())  # ValueError also for other than two cells
+                    betas.append(b)
+                    gammas.append(g)
+            except ValueError as exc:
+                text = raw.decode("ascii", "backslashreplace").strip()
+                raise DomainError(f'malformed zero table line {no} "{text}": {exc}') from None
     gamma = np.array(gammas, dtype=np.float64)
     if coverage is None:
         coverage = float(gamma[-1]) if gamma.size else 0.0

@@ -181,7 +181,7 @@ def test_criterion_06_bandlimited_suite():
     for delta in (1.0, 4.0, 16.0):
         for kind in ("majorant", "minorant"):
             F = bandlimit.selberg_interval(-1.0, 1.0, delta, kind)
-            report = bandlimit.domination_report(F, n_grid=10_000)
+            report = bandlimit.domination_report(F)
             assert report["min_slack"] >= -1e-9
             excess = bandlimit.excess_integral(F)
             want = 1.0 / delta if kind == "majorant" else -1.0 / delta
@@ -360,9 +360,7 @@ def test_criterion_10_determinism(tmp_path, ctx_desk, line_desk, gauss_100k):
 
     # Synthetic-Gaussian payload: fresh rerun with the same seed.
     rerun = lab.synthetic_gaussian_set(100_000, seed=0)
-    lab.write_samples_csv(gauss_100k, tmp_path / "g0.csv")
-    lab.write_samples_csv(rerun, tmp_path / "g1.csv")
-    assert (tmp_path / "g0.csv").read_bytes() == (tmp_path / "g1.csv").read_bytes()
+    assert lab.samples_csv_text(gauss_100k) == lab.samples_csv_text(rerun)
     reports = []
     for sset in (gauss_100k, rerun):
         reports.append(json.dumps(
@@ -375,9 +373,7 @@ def test_criterion_10_determinism(tmp_path, ctx_desk, line_desk, gauss_100k):
     line_w2 = lab.sample_line(ctx_desk,
                               sampling={"mode": "grid", "count": 20_000},
                               workers=2)
-    lab.write_samples_csv(line_desk, tmp_path / "l1.csv")
-    lab.write_samples_csv(line_w2, tmp_path / "l2.csv")
-    assert (tmp_path / "l1.csv").read_bytes() == (tmp_path / "l2.csv").read_bytes()
+    assert lab.samples_csv_text(line_desk) == lab.samples_csv_text(line_w2)
     axis = np.linspace(-1.0, 1.0, 11)
     grids = [json.dumps(lab.chf_deviation_grid(s, axis, axis), sort_keys=True)
              for s in (line_desk, line_w2)]

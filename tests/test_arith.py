@@ -91,7 +91,7 @@ def test_prime_power_table_bruteforce_small():
 
 def test_prime_power_table_cap():
     with pytest.raises(TableCapError):
-        prime_powers_up_to(2.0e8, cap=10**6)
+        prime_powers_up_to(2.0e8)
 
 
 def test_prime_power_table_domain():

@@ -98,7 +98,7 @@ def test_interval_constructor_gates():
 def test_domination_on_dense_grid():
     for kind in ("majorant", "minorant"):
         F = selberg_interval(-1.0, 1.0, 4.0, kind)
-        rep = domination_report(F, n_grid=10_000)
+        rep = domination_report(F)
         assert rep["min_slack"] >= -1e-9
         # Slack sits under the two-bump sinc^2 envelope with constant 1,
         # and the construction is sharp enough to nearly attain it.

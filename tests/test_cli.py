@@ -306,6 +306,10 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
     for name in ("delta", "b"):
         err = assert_one_line_error(main(["bs", f"--{name}", "inf", "--out", str(out)]))
         assert err == f"error: {name} must be finite, got inf\n"
+    # A required parameter with no flag, config key or environment variable.
+    monkeypatch.delenv("ZETALAB_SIGMA", raising=False)
+    err = assert_one_line_error(main(["scan", "--x", "100", "--out", str(out)]))
+    assert err == "error: missing required parameter 'sigma'\n"
 
     # Flags another command declares are unknown here: argparse exits 2.
     for wrong in (["bs", "--T", "5"], ["variance", "--T", "1e5", "--psi", "15",
@@ -409,7 +413,7 @@ def test_scan_command(tmp_path):
 
     # Zero tables can be supplied instead of recomputed.
     ztab = tmp_path / "zeros.txt"
-    zeta.write_zero_table(ztab, zeta.find_zero_ordinates(66.0))
+    ztab.write_text(zeta.zero_table_text(zeta.find_zero_ordinates(66.0)), encoding="ascii")
     rc = main(["scan", "--sigma", "2", "--x", "100", "--t_lo", "30",
                "--t_hi", "60", "--n_t", "16", "--zeros_file", str(ztab),
                "--out", str(tmp_path / "z")])
@@ -422,6 +426,26 @@ def test_scan_command(tmp_path):
                "--out", str(tmp_path / "toofar")])
     assert rc == 2
     assert not (tmp_path / "toofar").exists()
+
+
+@pytest.mark.parametrize("table", [
+    b"# coverage=60\n0.5 14.134725\n0.5 abc\n",
+    b"# coverage=oops\n0.5 14.134725\n",
+    b"# coverage=60\n0.5 14.134725\xe9\n",
+    b"0.5 14.134725 21.02\n",
+    # Neither lists a zero in (15, 55]; each once read as covering it.
+    b"# coverage=nan\n0.5 14.134725\n",
+    b"0.5 14.134725\n0.5 inf\n",
+], ids=["cell", "coverage", "non-ascii", "three-columns", "nan-coverage", "inf-gamma"])
+def test_scan_rejects_a_bad_zero_table(tmp_path, capsys, table):
+    ztab, out = tmp_path / "zeros.txt", tmp_path / "run"
+    ztab.write_bytes(table)
+    rc = main(["scan", "--sigma", "2", "--x", "100", "--t_lo", "30", "--t_hi", "55",
+               "--n_t", "16", "--zeros_file", str(ztab), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("sigma", ["14", "20"])

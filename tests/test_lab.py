@@ -69,7 +69,7 @@ def test_empirical_chf_at_origin_and_spots(gauss_100k):
         lab.empirical_chf(lab.synthetic_gaussian_set(0), 0.1, 0.1)
 
 
-def test_chf_grid_matches_pointwise_loop(gauss_20k):
+def test_chf_grid_matches_pointwise_loop(gauss_20k, monkeypatch):
     axes = [
         ([-0.8, -0.3, 0.0, 0.4, 1.0], [-0.9, -0.1, 0.2, 0.5, 0.7, 0.85, 1.0]),
         # Exact +/- pairs, a 0, a repeated magnitude and an unpaired value
@@ -84,7 +84,9 @@ def test_chf_grid_matches_pointwise_loop(gauss_20k):
             for j in range(v.size):
                 want = lab.empirical_chf(gauss_20k, float(u[i]), float(v[j]))
                 assert abs(grid[i, j] - want) <= 1e-12
-        rechunked = lab.empirical_chf_grid(gauss_20k, u, v, chunk=1000)
+        with monkeypatch.context() as m:
+            m.setattr(lab, "_CHUNK", 1000)
+            rechunked = lab.empirical_chf_grid(gauss_20k, u, v)
         assert np.max(np.abs(grid - rechunked)) <= 1e-12
     # The sandwich's quadrature nodes come in exact +/- pairs, so they fold.
     for level in (1, 2):
@@ -93,10 +95,10 @@ def test_chf_grid_matches_pointwise_loop(gauss_20k):
         assert np.array_equal(w[::-1], w)
 
 
-def _exact_rows_grid(sset, u, v, chunk=4096):
+def _exact_rows_grid(sset, u, v):
     """The chf grid from cos/sin rows at every distinct |u| and |v|, summed
     chunk by chunk and folded by sign as the grid did before its nodes."""
-    z = sset.ok_samples()
+    z, chunk = sset.ok_samples(), lab._CHUNK
     au, iu = np.unique(np.abs(u), return_inverse=True)
     av, iv = np.unique(np.abs(v), return_inverse=True)
     rows = lab._cos_sin_rows
@@ -177,7 +179,7 @@ def test_chf_node_rule_meets_its_tolerance():
     assert lab._sample_nodes(np.linspace(0.0, 4.0, 40), np.array([0.0, -21.0])) is None
 
 
-def test_chf_grid_edge_cases_match_pointwise(gauss_20k):
+def test_chf_grid_edge_cases_match_pointwise(gauss_20k, monkeypatch):
     # Each case against empirical_chf on every seventh row and column, in one
     # chunk and in chunks of 1000: all Re z equal (an exact u-axis beside an
     # interpolated v-axis), samples exactly on a Chebyshev point and on its
@@ -199,19 +201,17 @@ def test_chf_grid_edge_cases_match_pointwise(gauss_20k):
         want = np.array([[lab.empirical_chf(sset, float(ua[i]), float(va[j])) for j in cols]
                          for i in rows])
         for chunk in (4096, 1000):
-            grid = lab.empirical_chf_grid(sset, ua, va, chunk=chunk)
+            monkeypatch.setattr(lab, "_CHUNK", chunk)
+            grid = lab.empirical_chf_grid(sset, ua, va)
             assert np.max(np.abs(grid[np.ix_(rows, cols)] - want)) <= 1e-12, (samples.size, chunk)
 
 
-def test_chf_grid_rejects_non_finite_axes_and_bad_chunk(gauss_20k):
+def test_chf_grid_rejects_non_finite_axes(gauss_20k):
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(DomainError):
             lab.empirical_chf_grid(gauss_20k, [0.1, bad], [0.2])
         with pytest.raises(DomainError):
             lab.empirical_chf_grid(gauss_20k, [0.1], [bad])
-    for chunk in (0, -4, 2.5):
-        with pytest.raises(DomainError):
-            lab.empirical_chf_grid(gauss_20k, [0.1], [0.2], chunk=chunk)
     assert lab.empirical_chf_grid(gauss_20k, [], [0.2, 0.3]).shape == (0, 2)
 
 
@@ -306,6 +306,23 @@ def test_disk_cdf_sup_is_the_ks_statistic(gauss_20k):
     assert float(np.min(radii)) <= out["at_r"] <= float(np.max(radii))
     # Seeded Gaussian data sits well under the 0.05 play target.
     assert out["sup_dev"] <= 0.02
+
+
+def test_disk_cdf_sup_takes_the_larger_side():
+    # Every |z| <= 0.1: the empirical CDF runs above the Rayleigh one, and the
+    # sup sits at the largest radius; every |z| >= 5: below it, at the smallest.
+    rng = np.random.default_rng(5)
+    for radii, at in ((rng.uniform(0.0, 0.1, 300), np.max), (rng.uniform(5.0, 7.0, 300), np.min)):
+        z = radii * np.exp(2j * np.pi * rng.uniform(size=radii.size))
+        sset = lab.LineSampleSet(context=None, t_values=np.arange(z.size, dtype=float),
+                                 samples=z, flags=np.zeros(z.size, np.uint8), sampling={})
+        out = lab.disk_cdf_sup(sset)
+        # Brute force: just below and at each jump point of the empirical CDF.
+        n, jumps = z.size, sorted(np.abs(z).tolist())
+        brute = max(abs(k / n - (1.0 - math.exp(-0.5 * r * r)))
+                    for i, r in enumerate(jumps) for k in (i, i + 1))
+        assert out["sup_dev"] == pytest.approx(brute, abs=1e-15)
+        assert out["at_r"] == float(at(np.abs(z))) and out["sup_dev"] > 0.99
 
 
 def test_second_moment(gauss_100k):
@@ -542,18 +559,18 @@ def test_sample_prime_poly_small_case():
     assert abs(got[1] - direct) <= 1e-13
 
 
-def test_write_samples_csv(tmp_path):
+def test_samples_csv_text():
     s = lab.synthetic_gaussian_set(5, seed=3)
     flags = s.flags.copy()
     flags[2] = lab.FLAG_NEAR_ZERO
+    flags[4] = lab.FLAG_PRECISION
     samples = s.samples.copy()
     samples[2] = np.nan
     flagged = lab.LineSampleSet(context=None, t_values=s.t_values,
                                 samples=samples, flags=flags,
                                 sampling=s.sampling)
-    path = tmp_path / "samples.csv"
-    lab.write_samples_csv(flagged, path)
-    lines = path.read_text().strip().split("\n")
+    text = lab.samples_csv_text(flagged)
+    lines = text.strip().split("\n")
     assert lines[0] == "t,re,im,flag"
     assert len(lines) == 6
     parts = lines[1].split(",")
@@ -561,3 +578,7 @@ def test_write_samples_csv(tmp_path):
     assert float(parts[1]) == samples[0].real  # repr round-trips exactly
     excluded = lines[3].split(",")
     assert excluded[1] == "" and excluded[2] == "" and excluded[3] == "1"
+    # Byte for byte the element-wise writer.
+    want = [f"{float(t)!r},{float(z.real)!r},{float(z.imag)!r},0" if fl == lab.FLAG_OK
+            else f"{float(t)!r},,,{int(fl)}" for t, z, fl in zip(s.t_values, samples, flags)]
+    assert text == "\n".join(["t,re,im,flag", *want]) + "\n"

@@ -386,6 +386,9 @@ def test_find_zero_ordinates_first_three():
         assert abs(got - want) <= 1e-9
     assert np.all(zeros.beta == 0.5)
     assert zeros.coverage >= 26.0
+    # Below the first zero the search returns an empty list covering t_max.
+    below = zt.find_zero_ordinates(10.0)
+    assert below.gamma.size == 0 and below.coverage == 10.0
 
 
 def test_hardy_z_array_matches_scalar_calls():
@@ -420,18 +423,27 @@ def test_count_zeros_above():
     assert zt.count_zeros_above(0.6, 40.0, zeros) == 2
     with pytest.raises(CoverageError):
         zt.count_zeros_above(0.6, 50.0, zeros)
+    # A non-finite coverage or ordinate would pass every coverage check.
+    for pairs, coverage in (([(0.5, 14.1)], math.nan), ([(0.5, 14.1), (0.5, math.inf)], 40.0)):
+        with pytest.raises(DomainError, match="finite"):
+            zt.make_zero_list(pairs, coverage=coverage)
 
 
 def test_zero_table_roundtrip(tmp_path):
     zeros = zt.find_zero_ordinates(22.0)
     path = tmp_path / "zeros.txt"
-    zt.write_zero_table(path, zeros)
-    text = path.read_text()
+    text = zt.zero_table_text(zeros)
     assert "np.float64" not in text
+    path.write_text(text, encoding="ascii")
     back = zt.read_zero_table(path)
     assert np.array_equal(back.gamma, zeros.gamma)
     assert np.array_equal(back.beta, zeros.beta)
     assert back.coverage == zeros.coverage
+    # Blank lines are skipped; without a coverage header the last ordinate
+    # is the coverage.
+    path.write_text("\n0.5 14.134725\n\n  \n0.5 21.022040\n\n", encoding="ascii")
+    back = zt.read_zero_table(path)
+    assert back.gamma.tolist() == [14.134725, 21.02204] and back.coverage == 21.02204
 
 
 @settings(max_examples=40, deadline=None)
