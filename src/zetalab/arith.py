@@ -71,21 +71,17 @@ def _smallest_prime_factor(n: int) -> int:
 
 @dataclass(frozen=True)
 class PrimePowerTable:
-    """Sorted table of every prime power p^n <= bound.
+    """Sorted table of every prime power p^n <= x, from prime_powers_up_to(x).
 
     ``value[i] = prime[i] ** exponent[i]`` and ``value`` is strictly
     increasing; ``log_prime[i] = log(prime[i])`` is the von Mangoldt value of
     the entry. Immutable after construction and safe to share across workers.
     """
 
-    bound: float
     value: np.ndarray = field(repr=False)
     prime: np.ndarray = field(repr=False)
     exponent: np.ndarray = field(repr=False)
     log_prime: np.ndarray = field(repr=False)
-
-    def __len__(self) -> int:
-        return int(self.value.shape[0])
 
     def __post_init__(self):
         if len(self.value) and not np.all(np.diff(self.value) > 0):
@@ -95,9 +91,9 @@ class PrimePowerTable:
 def prime_powers_up_to(x: float) -> PrimePowerTable:
     """Complete sorted table of prime powers p^n <= x.
 
-    Sieve of Eratosthenes plus a prime-power post-pass; O(x log log x) time
-    and O(x) transient memory for the sieve mask. ``x`` must be >= 2 and at
-    most TABLE_CAP_DEFAULT (1e8) because the mask and table are materialized.
+    Sieve of Eratosthenes plus _higher_powers (k >= 2, shared with the stream);
+    O(x log log x) time and O(x) transient memory for the sieve mask. ``x``
+    must be >= 2 and at most TABLE_CAP_DEFAULT (1e8): mask and table are materialized.
     """
     if not (x >= 2):
         raise DomainError(f"prime_powers_up_to requires x >= 2, got {x}")
@@ -108,35 +104,34 @@ def prime_powers_up_to(x: float) -> PrimePowerTable:
         )
     limit = int(math.floor(x))
     primes = sieve_primes(limit)
-    values = [primes]
-    prime_of = [primes]
-    exponent_of = [np.ones(len(primes), dtype=np.int64)]
-    k = 2
-    while True:
-        # Primes whose k-th power still fits; primes is sorted so a prefix.
-        root = limit ** (1.0 / k)
-        count = int(np.searchsorted(primes, math.floor(root), side="right"))
-        while count > 0 and primes[count - 1] ** k > limit:
-            count -= 1
-        if count == 0:
-            break
-        base = primes[:count]
-        values.append(base**k)
-        prime_of.append(base)
-        exponent_of.append(np.full(count, k, dtype=np.int64))
-        k += 1
-    value = np.concatenate(values)
-    order = np.argsort(value, kind="stable")
-    value = value[order]
-    prime = np.concatenate(prime_of)[order]
-    exponent = np.concatenate(exponent_of)[order]
+    powers, bases, exponents = _higher_powers(primes, limit)
+    order = np.argsort(np.concatenate((primes, powers)), kind="stable")
+    value, prime, exponent = (np.concatenate(pair)[order] for pair in (
+        (primes, powers), (primes, bases), (np.ones_like(primes), exponents)))
     return PrimePowerTable(
-        bound=float(x),
         value=value,
         prime=prime,
         exponent=exponent,
         log_prime=np.log(prime.astype(np.float64)),
     )
+
+
+def _higher_powers(primes: np.ndarray, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every p^k <= hi with k >= 2 over the sorted primes given, as (value, prime, k).
+
+    Sorted by value. The exact integer recurrence forms v * p only where
+    v <= hi // p, so no float root can drop a power and none overflows int64.
+    """
+    p = primes[: np.searchsorted(primes, math.isqrt(hi), side="right")]
+    # The empty first row keeps the concatenation defined for hi < 4 (no base prime).
+    rows, v, k = [(p[:0],) * 3], p * p, 2
+    while p.size:
+        rows.append((v, p, np.full_like(p, k)))
+        fits = v <= hi // p
+        p, v, k = p[fits], v[fits] * p[fits], k + 1
+    values, bases, exponents = map(np.concatenate, zip(*rows))
+    order = np.argsort(values, kind="stable")
+    return values[order], bases[order], exponents[order]
 
 
 def segment_starts(lo: float, hi: float, segment_size: int = _SEGMENT_SIZE) -> range:
@@ -163,16 +158,8 @@ def lambda_segments(
         return
     base = sieve_primes(math.isqrt(hi))
     # Every p^k <= hi with k >= 2, listed once and sorted; segments take their share.
-    # The empty first entries keep the concatenation defined for hi < 4 (no base prime).
-    pows, bases, p, v = [base[:0]], [base[:0]], base, base * base
-    while p.size:
-        pows.append(v)
-        bases.append(p)
-        fits = v <= hi // p
-        p, v = p[fits], v[fits] * p[fits]
-    pows, bases = np.concatenate(pows), np.concatenate(bases)
-    order = np.argsort(pows)
-    pows, pow_logs = pows[order], np.log(bases[order].astype(np.float64))
+    pows, pow_primes, _ = _higher_powers(base, hi)
+    pow_logs = np.log(pow_primes.astype(np.float64))
     sieving = base[base > 13]
     wheel = np.gcd(2 * np.arange(15015) + 1, 15015) == 1  # is 2 i + 1 prime to 3..13
     for seg_lo in segment_starts(lo, hi, segment_size):

@@ -225,9 +225,11 @@ def _analytic_tail(F: BandlimitedFunction, x_lo: float, x_hi: float) -> float:
 def _window(F: BandlimitedFunction, window: float | None, width: float):
     """(W, a - W, b + W) for the window W on each side of [a, b], default width/delta."""
     W = float(window) if window is not None else width / F.delta
-    if W <= 0.0:
-        raise DomainError("window must be positive")
-    return W, F.a - W, F.b + W
+    x_lo, x_hi = F.a - W, F.b + W
+    if not (-math.inf < x_lo < F.a and F.b < x_hi < math.inf):
+        raise DomainError(f"window {W:g} beside [{F.a:g}, {F.b:g}] at band limit delta = "
+                          f"{F.delta:g} is not positive, finite and kept by rounding")
+    return W, x_lo, x_hi
 
 
 def excess_integral(F: BandlimitedFunction, window: float | None = None) -> float:
@@ -268,7 +270,7 @@ def fourier_transform(F: BandlimitedFunction, xi, window: float | None = None):
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
     _, x_lo, x_hi = _window(F, window, 1e3)
     xi_max = float(np.max(np.abs(xi_arr))) if xi_arr.size else 0.0
-    max_len = 1.0 / (d + xi_max + 1e-12)
+    max_len = 1.0 / ((d + xi_max) * (1 + 1e-12))
     xs, ws = _panel_nodes(x_lo, x_hi, max_len)
     fw = F(xs) * ws
     out = np.empty(xi_arr.shape, dtype=complex)

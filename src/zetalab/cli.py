@@ -172,6 +172,8 @@ def cmd_dist(p: dict, workers: int, seed: int, tol: float):
     chf_r = p["chf_r"]
     if p["chf_n"] < 1 or not (chf_r is None or (math.isfinite(chf_r) and chf_r > 0)):
         raise ZetalabError("chf deviation grid requires chf_n >= 1 and chf_r > 0")
+    if chf_r is not None and not math.isfinite(2.0 * chf_r):  # the span np.linspace forms
+        raise ZetalabError(f"--chf_r {chf_r:g} puts the chf axis past the float range")
     ctx = _context_from(p, tol)
     sampling = {"mode": p["mode"], "count": p["count"]}
     if p["mode"] == "random":

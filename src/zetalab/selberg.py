@@ -122,8 +122,8 @@ class ScanResult:
     """Per-point residual records plus run-level summary statistics.
 
     Arrays are aligned with the input grid. flags: 0 ok, 1 = sigma below the
-    local threshold (point not evaluated), 2 = near-zero zeta (flagged by the
-    engine). residual = lhs - poly at ok points, NaN elsewhere.
+    local threshold, 2 = any zeta engine flag (near a zero, or uncertified). lhs,
+    poly and bound hold at every point; residual = lhs - poly at 0, NaN elsewhere.
     """
 
     t: np.ndarray
@@ -246,9 +246,9 @@ def explicit_formula_scan(
 
     lhs = -zeta'/zeta(sigma + it); poly = the weighted polynomial at the same
     point; bound is the standard envelope x^{(1/2-sigma)/2} (|poly| + log t).
-    Points with sigma < sigma_xt are flagged and skipped (flag 1), as are
-    near-zero zeta points (flag 2). The summary reports flag counts and
-    quantiles of |residual|/bound over ok points.
+    Points with sigma < sigma_xt get flag 1 and points the zeta engine flags
+    get flag 2 (see ScanResult). The summary reports flag counts (every flag 2
+    in "n_flagged_near_zero") and quantiles of |residual|/bound over ok points.
     """
     if not math.isfinite(sigma):
         raise DomainError(f"sigma must be finite, got {sigma!r}")

@@ -89,6 +89,44 @@ def test_prime_power_table_bruteforce_small():
     assert table.value.tolist() == oracle
 
 
+def _higher_powers_bruteforce(x: int) -> list[tuple[int, int, int]]:
+    # (p^k, p, k) for every prime p and k >= 2 with p^k <= x, in Python ints.
+    rows = []
+    for p in range(2, math.isqrt(x) + 1):
+        if all(p % d for d in range(2, math.isqrt(p) + 1)):
+            v, k = p * p, 2
+            while v <= x:
+                rows.append((v, p, k))
+                v, k = v * p, k + 1
+    return sorted(rows)
+
+
+def _assert_table_is_stream(x: int):
+    # The table up to x ends at x itself and lists what the stream lists.
+    table = prime_powers_up_to(x)
+    segments = list(lambda_segments(1, x))
+    assert table.value[-1] == x
+    assert np.array_equal(np.concatenate([v for v, _ in segments]), table.value)
+    assert np.array_equal(np.concatenate([g for _, g in segments]), table.log_prime)
+
+
+def test_prime_power_table_ends_at_every_higher_prime_power():
+    # x = p^k with k >= 2: a k-th root taken in floats rounds below p at 27 of
+    # these 236 bounds (125, 343, 1331, ..., 117649), which dropped x itself.
+    powers = [v for v, _, _ in _higher_powers_bruteforce(10**6)]
+    assert len(powers) == 236
+    for x in powers:
+        _assert_table_is_stream(x)
+    _assert_table_is_stream(7**9)
+
+
+def test_prime_power_table_higher_powers_bruteforce():
+    table = prime_powers_up_to(2**20)
+    higher = table.exponent >= 2
+    rows = list(zip(*(a[higher].tolist() for a in (table.value, table.prime, table.exponent))))
+    assert rows == _higher_powers_bruteforce(2**20)
+
+
 def test_prime_power_table_cap():
     with pytest.raises(TableCapError):
         prime_powers_up_to(2.0e8)

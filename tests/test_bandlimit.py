@@ -129,8 +129,10 @@ def test_excess_integral_attains_optimum():
     e1 = excess_integral(selberg_interval(0.0, 3.0, 2.0, "majorant"))
     e2 = excess_integral(selberg_interval(0.0, 3.0, 4.0, "majorant"))
     assert abs(e2 / e1 - 0.5) <= 1e-4
-    with pytest.raises(DomainError):
-        excess_integral(selberg_interval(0.0, 3.0, 2.0), window=-1.0)
+    # A window that is not positive or finite, or that rounding loses beside [a, b].
+    for window in (-1.0, 0.0, math.nan, math.inf, 1e-300):
+        with pytest.raises(DomainError, match="band limit delta = 2"):
+            excess_integral(selberg_interval(0.0, 3.0, 2.0), window=window)
 
 
 def test_degenerate_point_interval():

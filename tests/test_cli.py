@@ -282,6 +282,48 @@ def test_chf_command_r_max_at_the_float_range(tmp_path, capsys):
     assert doc["sup_abs_dev_from_gaussian"] == 0.0
 
 
+def test_bs_band_limit_at_the_float_range(tmp_path, capsys):
+    # fourier_transform's panels over the 1e3/delta window on each side
+    # number about 7e3 at every delta; an absolute 1e-12 added to the
+    # bandwidth made them about 2e-9/delta, past any memory below ~1e-16. A window
+    # that is not finite, or that rounding loses beside [a, b], is refused
+    # with one line naming the band limit. No run warns.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for delta, rc in (("1e-20", 1), ("1e-300", 0)):  # 1e-20 misses the absolute 1e-6 excess check
+            assert main(["bs", "--delta", delta, "--out", str(tmp_path / delta)]) == rc
+            assert capsys.readouterr().out.startswith(f"bs: delta={float(delta)!r} excess(majorant)=")
+        for argv in (["--delta", "1e-306"], ["--delta", "1e300"], ["--b", "1e300"],
+                     ["--a", "-1e305", "--b", "1e305"]):
+            assert main(["bs", *argv, "--out", str(tmp_path / "refused")]) == 2
+            err = capsys.readouterr().err
+            assert "band limit delta = " in err and err.count("\n") == 1, err
+            assert not (tmp_path / "refused").exists()
+
+
+def test_dist_chf_r_at_the_float_range(tmp_path, capsys):
+    # Past |(u, v)| ~ 6 the Gaussian factor underflows to 0 and the envelope
+    # is its limit psi^-10, where 0 * (|u| + |v|)^3 read nan. The axis spans
+    # 2 chf_r, which overflows at 1e308: one line that names --chf_r.
+    argv = ["dist", "--T", "1e3", "--psi", "5", "--count", "100", "--chf_r"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in ("1e103", "1e300"):
+            assert main(argv + [r, "--out", str(tmp_path / r)]) == 0
+            table = (tmp_path / r / "dist_chf_dev.csv").read_text()
+            assert "nan" not in table and "inf" not in table
+        assert main(argv + ["1e308", "--out", str(tmp_path / "over")]) == 2
+    assert capsys.readouterr().err == "error: --chf_r 1e+308 puts the chf axis past the float range\n"
+    assert not (tmp_path / "over").exists()
+
+
+def test_dist_names_an_unknown_mode_on_an_empty_range(tmp_path, capsys):
+    for t_hi in ("200", "100"):
+        assert main(["dist", "--T", "1e3", "--psi", "5", "--t_lo", "100", "--t_hi", t_hi,
+                     "--mode", "bogus", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: unknown sampling mode 'bogus'\n"
+
+
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
     out = tmp_path / "run"
     argv = ["variance", "--psi", "15", "--out", str(out)]

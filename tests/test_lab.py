@@ -4,6 +4,7 @@ rectangle sandwich against direct counting, and line sampling in the
 absolutely convergent strip."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -225,7 +226,9 @@ def test_gaussian_chf_closed_form():
 
 
 def test_chf_deviation_grid(gauss_20k, ctx_desk):
-    out = lab.chf_deviation_grid(gauss_20k)
+    axis = np.linspace(-1.0, 1.0, 11)
+    axis = 0.5 * (axis - axis[::-1])
+    out = lab.chf_deviation_grid(gauss_20k, axis, axis)
     assert len(out["records"]) == 121
     assert 0.0 < out["sup_abs_dev"] <= 0.04
     assert out["sup_dev_over_envelope"] is None
@@ -235,7 +238,8 @@ def test_chf_deviation_grid(gauss_20k, ctx_desk):
     # With a context attached the report carries the theoretical envelope
     # (informational: sample noise dwarfs it at this scale).
     withctx = lab.synthetic_gaussian_set(2000, context=ctx_desk)
-    out2 = lab.chf_deviation_grid(withctx)
+    axis = lab.chf_axis(ctx_desk, None, 11)
+    out2 = lab.chf_deviation_grid(withctx, axis, axis)
     assert "envelope" in out2["records"][0]
     assert out2["sup_dev_over_envelope"] > 0.0
     # The columns are computed as arrays; every record equals the scalar
@@ -255,11 +259,32 @@ def test_chf_deviation_grid(gauss_20k, ctx_desk):
                                                 for rec in out2["records"])
 
 
+def test_chf_deviation_envelope_past_the_gaussian_underflow(ctx_desk):
+    # Where the Gaussian factor underflows to 0 the envelope is its limit
+    # psi^-10; (|u| + |v|)^3 overflows there, and 0 * inf read nan.
+    sset = lab.synthetic_gaussian_set(200, context=ctx_desk)
+    axis = np.array([-1e300, -1e103, -1.0, 0.0, 1.0, 1e103, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = lab.chf_deviation_grid(sset, axis, axis)
+    V, psi = ctx_desk.V, ctx_desk.psi
+    for rec in out["records"]:
+        u, v = rec["u"], rec["v"]
+        assert all(math.isfinite(x) for x in rec.values()), rec
+        if rec["gaussian"] == 0.0:
+            assert abs(u) + abs(v) >= 1e103 and rec["envelope"] == psi ** -10
+        else:
+            assert rec["envelope"] == (rec["gaussian"] * ((abs(u) + abs(v)) ** 3 / V ** 1.5
+                                                          + (u * u + v * v) / psi ** 10)
+                                       + psi ** -10)
+
+
 def test_default_chf_axis_is_antisymmetric(ctx_desk):
     # r = Omega of `dist --T 1e5 --psi 15`, where linspace(-r, r, 11) is
     # not exactly antisymmetric: the axis folds to 6 distinct |u|, and the
     # grid is exactly Hermitian.
-    out = lab.chf_deviation_grid(lab.synthetic_gaussian_set(2000, context=ctx_desk))
+    axis = lab.chf_axis(ctx_desk, None, 11)
+    out = lab.chf_deviation_grid(lab.synthetic_gaussian_set(2000, context=ctx_desk), axis, axis)
     u, v, re, im = (np.array([rec[k] for rec in out["records"]]).reshape(11, 11)
                     for k in ("u", "v", "re", "im"))
     assert u[-1, 0] == ctx_desk.Omega and np.array_equal(u[:, 0], -u[::-1, 0])
@@ -406,10 +431,6 @@ def test_sample_line_in_convergent_strip():
 
 def test_sample_line_modes_and_gates():
     ctx = make_context(T=1000.0, sigma=2.0)
-    by_dt = lab.sample_line(ctx, t_lo=50.0, t_hi=100.0,
-                            sampling={"mode": "grid", "dt": 0.5})
-    assert by_dt.n_total == 101
-    assert by_dt.t_values[1] - by_dt.t_values[0] == 0.5
     rnd = lab.sample_line(ctx, t_lo=50.0, t_hi=100.0,
                           sampling={"mode": "random", "count": 64, "seed": 9})
     assert rnd.n_total == 64
@@ -425,10 +446,10 @@ def test_sample_line_modes_and_gates():
     for lo, hi in ((math.nan, 100.0), (50.0, math.nan), (-math.inf, 100.0), (50.0, math.inf)):
         with pytest.raises(DomainError, match="finite"):
             lab.sample_line(ctx, t_lo=lo, t_hi=hi, sampling={"mode": "random", "count": 8})
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="hexagonal"):
         lab.sample_line(ctx, sampling={"mode": "hexagonal"})
-    with pytest.raises(DomainError):
-        lab.sample_line(ctx, t_hi=100.0, sampling={"mode": "grid", "dt": -1.0})
+    with pytest.raises(DomainError, match="hexagonal"):  # the mode is checked before the range
+        lab.sample_line(ctx, t_lo=80.0, t_hi=80.0, sampling={"mode": "hexagonal"})
     with pytest.raises(DomainError):
         lab.sample_line(ctx, t_hi=100.0, sampling={"mode": "grid", "count": -5})
     with pytest.raises(DomainError, match="count"):
