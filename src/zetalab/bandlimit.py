@@ -274,7 +274,7 @@ def fourier_transform(F: BandlimitedFunction, xi, window: float | None = None):
     xs, ws = _panel_nodes(x_lo, x_hi, max_len)
     fw = F(xs) * ws
     out = np.empty(xi_arr.shape, dtype=complex)
-    step = max(1, 8_000_000 // max(1, xs.size))
+    step = max(1, (1 << 20) // max(1, xs.size))  # 16 MB of phases per chunk
     for i in range(0, xi_arr.size, step):
         chunk = xi_arr[i:i + step]
         phases = np.exp((-2j * np.pi) * np.outer(chunk, xs))

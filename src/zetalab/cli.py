@@ -275,7 +275,7 @@ def cmd_bs(p: dict, workers: int, seed: int, tol: float):
         want = (1.0 if kind == "majorant" else -1.0) / delta
         verify = bandlimit.verify_bandlimit(F)
         dom = bandlimit.domination_report(F)
-        hard_ok = hard_ok and abs(excess - want) <= 1e-6
+        hard_ok = hard_ok and abs(excess - want) <= 1e-6 * max(1.0, abs(want))
         hard_ok = hard_ok and dom["min_slack"] >= -1e-9
         hard_ok = hard_ok and verify["passed"]
         results[kind] = {"excess": excess, "expected_excess": want,

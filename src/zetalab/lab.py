@@ -9,7 +9,8 @@ builders compare empirical rectangle/disk frequencies and empirical
 characteristic functions against the Gaussian limit, and
 `rect_prob_from_chf` reconstructs rectangle probabilities through the
 band-limited majorant route, which sandwiches the direct count by
-construction.
+construction, up to an a-priori quadrature bound it returns (the chf must
+grow at most like exp(2 pi |Im u| osc_rate) off the real axis).
 """
 
 from __future__ import annotations
@@ -202,15 +203,16 @@ def _sample_nodes(a: np.ndarray, x: np.ndarray):
     On the Bernstein ellipse E_rho of a range of half-width h, cos and sin(2 pi a x),
     a <= A = max a, are bounded by M = exp(omega (rho - 1/rho) / 2), omega = 2 pi A h, so
     n points err by at most 4 M rho^(1-n) / (rho - 1) (Trefethen, ATAP Thm 8.2).  n is the
-    least that meets _CHEB_TOL at some rho in _RHO; only h > 0 and n < a.size interpolate
-    (never 16 or fewer a).  Samples about 0 give h <= max |x| / 2, so omega <= pi A max |x|."""
+    least that meets _CHEB_TOL at some rho in _RHO; only h > 0 and n < 2 a.size interpolate
+    (never 8 or fewer a): exact rows cost 2 a.size cos/sin per sample, Lagrange rows n
+    divisions.  Samples about 0 give h <= max |x| / 2, so omega <= pi A max |x|."""
     ax = np.abs(x)
     lo, hi = float(ax.min()), float(ax.max())
     h = 0.5 * (hi - lo)
     omega = 2.0 * math.pi * a.max(initial=0.0) * h
     n = 1.0 + np.min(np.ceil((math.log(4.0 / _CHEB_TOL) - np.log(_RHO - 1.0)
                               + 0.5 * omega * (_RHO - 1.0 / _RHO)) / np.log(_RHO)))
-    if not (h > 0.0 and n < a.size):  # also a non-finite h
+    if not (h > 0.0 and n < 2 * a.size):  # also a non-finite h
         return None
     theta = (np.arange(int(n)) + 0.5) * (math.pi / n)
     return 0.5 * (lo + hi) + h * np.cos(theta), (-1.0) ** np.arange(int(n)) * np.sin(theta)
@@ -453,32 +455,52 @@ def second_moment_check(sset: LineSampleSet) -> float:
 
 @dataclass(frozen=True)
 class SandwichProb:
-    """Lower/upper rectangle-probability estimates from the chf route."""
+    """Lower/upper rectangle-probability estimates from the chf route, each within
+    quad_bound of its double integral."""
 
     lower: float
     upper: float
     nodes_per_axis: int
-    doubling_delta: float
-    details: Mapping[str, float] = field(default_factory=dict)
+    quad_bound: float
 
     @property
     def width(self) -> float:
         return self.upper - self.lower
 
+    @property
+    def doubling_delta(self) -> float:
+        """quad_bound under the name perfbench reads."""
+        return self.quad_bound
 
-def _axis_nodes(delta: float, rate: float, level: int):
-    """Panel GL nodes/weights on [-delta, delta] resolving e(rate*u) oscillation.
 
-    The 0.25 cap keeps smooth-but-sharp factors (a Gaussian chf decays
-    on the scale 1/(2 pi)) resolved even when the nominal rate is low.
-    The panels of [0, delta] are mirrored onto [-delta, 0], so xi = 0, where
-    a majorant's transform has its kink, is always a panel edge, the nodes
-    are exactly antisymmetric and the weights exactly symmetric, and
-    `empirical_chf_grid` folds every +/- pair.
-    """
-    max_len = min(10.0 / (2.0 * np.pi * max(rate, 1e-9)), 0.25, delta / 2.0) / level
-    u, w = _panel_nodes(0.0, delta, max_len)
+_MAX_PANELS = 128  # per half axis of the sandwich: at most 4,096 nodes per axis
+
+
+def _axis_nodes(delta: float, panels: int):
+    """Gauss-Legendre nodes/weights on `panels` equal panels of [0, delta], mirrored
+    onto [-delta, 0]: xi = 0, where a majorant's transform has its kink, is a panel
+    edge, the nodes are exactly antisymmetric and the weights exactly symmetric, and
+    `empirical_chf_grid` folds every +/- pair."""
+    u, w = _panel_nodes(0.0, delta, delta / (panels - 0.5))  # ceil gives `panels`
     return np.r_[-u[::-1], u], np.r_[w[::-1], w]
+
+
+def _quad_bound(F: BandlimitedFunction, rate: float, panels: int) -> float:
+    """Error bound of `_axis_nodes`' rule on the integral of Fhat(xi) phi(xi) over
+    [-delta, delta] for |phi(xi + ib)| <= exp(2 pi |b| rate), by the per-panel bound
+    of `rect_prob_from_chf` at the best rho in _RHO."""
+    d, L, m, h = F.delta, F.b - F.a, 0.5 * (F.a + F.b), 0.5 / panels
+    c = (2.0 * np.arange(panels) + 1.0)[:, None] * h  # panel centres in s = xi/delta
+    lo, hi = c - 0.5 * h * (_RHO + 1.0 / _RHO), c + 0.5 * h * (_RHO + 1.0 / _RHO)
+    beta = 0.5 * h * (_RHO - 1.0 / _RHO)  # max |Im s| on E_rho
+    r = np.hypot(np.maximum(-lo, hi), beta)  # max |s|
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        j_hat = np.cosh(np.pi * beta) * r * (1.0 + r) / ((1.0 + lo) * np.sinc(1.0 - r)) + r
+        M = (np.exp(2.0 * np.pi * d * beta * (abs(m) + rate)) * np.cosh(np.pi * L * d * beta)
+             * (L * j_hat + (1.0 + r) / d))
+        err = (64.0 / 15.0) * d * h * M * _RHO ** -30.0 / (_RHO ** 2 - 1.0)
+    return 2.0 * float(np.where((lo >= -0.5) & (hi <= 1.5) & (r < 2.0), err, np.inf)
+                       .min(axis=1).sum())
 
 
 def rect_prob_from_chf(chf, F: BandlimitedFunction, G: BandlimitedFunction,
@@ -486,22 +508,37 @@ def rect_prob_from_chf(chf, F: BandlimitedFunction, G: BandlimitedFunction,
                        quad_tol: float = 2e-5) -> SandwichProb:
     """Rectangle probability reconstructed from a characteristic function.
 
-    chf(u_axis, v_axis) must return the matrix chf(u_i, v_j).  F and G
-    are the band-limited majorants of the Re- and Im-intervals; their
-    minorant partners are built internally.  By Fourier inversion the
-    double integral of Fhat(u) Ghat(v) chf(u, v) over the band equals
-    the expectation of F(X) G(Y), so pointwise domination of the
-    indicators makes [lower, upper] a true sandwich of the rectangle
-    probability up to quadrature error.  Fhat and Ghat are exact
-    (`BandlimitedFunction.hat`), so the only quadrature error left is
-    the one over (u, v).  Their kink at 0 is a panel edge of
-    `_axis_nodes`, so each panel's rule converges spectrally, and a
-    node-doubling check bounds that error by quad_tol (failure raises
-    QuadratureError).
+    chf(u_axis, v_axis) must return the matrix chf(u_i, v_j); it is called once.
+    F and G are the band-limited majorants of the Re- and Im-intervals; their
+    minorant partners are built internally.  By Fourier inversion the double
+    integral of Fhat(u) Ghat(v) chf(u, v) over the band equals the expectation of
+    F(X) G(Y), so pointwise domination of the indicators makes [lower, upper] =
+    [I_mp + I_pm - I_pp, I_pp] (p: majorant, m: minorant, of F then G) a true
+    sandwich of the rectangle probability up to quadrature error.
 
-    osc_rate_u/v: scale of the fastest oscillation of chf in each
-    variable (max |Re z|, |Im z| for an empirical chf); the quadrature
-    panels are sized to resolve it.
+    osc_rate_u/v = A_u, A_v: |chf(u + ib, v)| <= exp(2 pi |b| A_u) for real u, v
+    and |b| < delta (every ellipse below lies in that strip), and likewise in v.
+    Any law with |Re Z| <= A_u meets it: for an empirical chf A_u is the sample
+    max, for the torus sum c_p; a Gaussian factor exp(-2 pi^2 u^2) adds pi delta.
+
+    The bound.  16-point Gauss-Legendre on a panel of half-length h errs by at most
+    (64/15) h M rho^-30 / (rho^2 - 1) if the integrand is analytic in the Bernstein
+    ellipse E_rho and bounded there by M (Trefethen, SIAM Rev. 50 (2008), Thm 4.5
+    with n + 1 = 16); `_quad_bound` takes the least over rho in _RHO, panel by panel.
+    On a panel of [0, delta], Fhat is the `bandlimit` closed form in s = xi/delta
+    (not |s|); with (1 - s) cos(pi s)/sinc(s) = cos(pi s)/[(1 + s) P(s)], P(s) =
+    prod_{k>=2} (1 - s^2/k^2), its nearest singularities are s = -1 and s = 2, so
+    every ellipse stays in -1/2 <= Re s <= 3/2 with r = max |s| < 2, where |P(s)| >=
+    sinc(r)/(1 - r^2), |1 + s| >= 1 + Re s, |e(-m xi)| <= exp(2 pi |m| max |Im xi|),
+    |sinc w| <= cosh(pi Im w) and |cos w| <= cosh(Im w).  Mirrored panels and the
+    minorant have the same bound.  In two dimensions Q_u Q_v - I = Q_u (Q_v - I_v)
+    + (Q_u - I_u) I_v, and |Fhat| <= L + 1/delta on the real axis (0 <= J_hat <= 1
+    on [0, 1]), so each I errs by at most (sum_i w_i |Fhat(u_i)|) E_v +
+    E_u 2 delta_G (L_G + 1/delta_G), E the axis' `_quad_bound`.  upper errs by
+    I_pp's bound and lower by the sum of all three, quad_bound.  Each axis takes the
+    least panels that hold its share to quad_tol/8, so quad_bound <= quad_tol/4;
+    past 4,096 nodes per axis QuadratureError is raised.  quad_bound covers the
+    quadrature in exact arithmetic, not the chf's own error or rounding.
     """
     if F.kind != "majorant" or G.kind != "majorant":
         raise DomainError("pass the majorants; minorants are derived internally")
@@ -510,43 +547,33 @@ def rect_prob_from_chf(chf, F: BandlimitedFunction, G: BandlimitedFunction,
     for name, rate in (("osc_rate_u", osc_rate_u), ("osc_rate_v", osc_rate_v)):
         if not (math.isfinite(rate) and rate >= 0.0):
             raise DomainError(f"{name} must be finite and non-negative, got {rate!r}")
-    F_minus = selberg_interval(F.a, F.b, F.delta, "minorant")
-    G_minus = selberg_interval(G.a, G.b, G.delta, "minorant")
-    # Fhat(u) itself oscillates at the spatial scale of its interval
-    # (plus the tails of F), so fold that into the panel sizing.
-    rate_u = osc_rate_u + max(abs(F.a), abs(F.b)) + 5.0 / F.delta
-    rate_v = osc_rate_v + max(abs(G.a), abs(G.b)) + 5.0 / G.delta
+    # 2 delta (L + 1/delta) bounds the integral of |Fhat| and sum_i w_i |Fhat(u_i)|.
+    c_f, c_g = (2.0 * (H.delta * (H.b - H.a) + 1.0) for H in (F, G))
+    tol_u, tol_v = quad_tol / (24.0 * c_g), quad_tol / (24.0 * c_f)
 
-    def sandwich(level: int):
-        u, wu = _axis_nodes(F.delta, rate_u, level)
-        v, wv = _axis_nodes(G.delta, rate_v, level)
-        fp = F.hat(u)
-        fm = F_minus.hat(u)
-        gp = G.hat(v)
-        gm = G_minus.hat(v)
-        M = np.asarray(chf(u, v), dtype=complex)
-        if M.shape != (u.size, v.size):
-            raise DomainError("chf callable must return a (len(u), len(v)) matrix")
-        wfp = wu * fp
-        wfm = wu * fm
-        wgp = wv * gp
-        wgm = wv * gm
-        I_pp = (wfp @ M @ wgp).real
-        I_mp = (wfm @ M @ wgp).real
-        I_pm = (wfp @ M @ wgm).real
-        upper = I_pp
-        lower = I_mp + I_pm - I_pp
-        return lower, upper, u.size
+    def panels(H, rate, tol):  # the least panel count whose bound meets tol, else the cap
+        k = 1
+        while (err := _quad_bound(H, rate, k)) > tol and k < _MAX_PANELS:
+            k += 1
+        return k, err
 
-    lo1, up1, n1 = sandwich(1)
-    lo2, up2, n2 = sandwich(2)
-    delta_q = max(abs(lo2 - lo1), abs(up2 - up1))
-    if delta_q > quad_tol:
+    (ku, eu), (kv, ev) = panels(F, osc_rate_u, tol_u), panels(G, osc_rate_v, tol_v)
+    if eu > tol_u or ev > tol_v:
         raise QuadratureError(
-            f"chf-quadrature doubling failed: delta {delta_q:.3e} > {quad_tol:.1e}")
-    return SandwichProb(lower=float(lo2), upper=float(up2), nodes_per_axis=int(n2),
-                        doubling_delta=float(delta_q),
-                        details={"lower_coarse": float(lo1), "upper_coarse": float(up1)})
+            f"chf-quadrature bound {3.0 * (c_f * ev + c_g * eu):.3e} at {32 * max(ku, kv)} "
+            f"nodes per axis exceeds quad_tol/4 = {quad_tol / 4.0:.1e} "
+            f"(osc_rate_u {osc_rate_u:g}, osc_rate_v {osc_rate_v:g})")
+    u, wu = _axis_nodes(F.delta, ku)
+    v, wv = _axis_nodes(G.delta, kv)
+    M = np.asarray(chf(u, v), dtype=complex)
+    if M.shape != (u.size, v.size):
+        raise DomainError("chf callable must return a (len(u), len(v)) matrix")
+    wfp, wfm = (wu * H.hat(u) for H in (F, selberg_interval(F.a, F.b, F.delta, "minorant")))
+    wgp, wgm = (wv * H.hat(v) for H in (G, selberg_interval(G.a, G.b, G.delta, "minorant")))
+    i_pp, i_mp, i_pm = ((wf @ M @ wg).real for wf, wg in ((wfp, wgp), (wfm, wgp), (wfp, wgm)))
+    bound = (2.0 * np.abs(wfp).sum() + np.abs(wfm).sum()) * ev + 3.0 * c_g * eu
+    return SandwichProb(lower=float(i_mp + i_pm - i_pp), upper=float(i_pp),
+                        nodes_per_axis=max(u.size, v.size), quad_bound=float(bound))
 
 
 def time_vs_torus_moments(poly_samples, model, m: int, k: int) -> dict:

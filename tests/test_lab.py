@@ -89,9 +89,11 @@ def test_chf_grid_matches_pointwise_loop(gauss_20k, monkeypatch):
             m.setattr(lab, "_CHUNK", 1000)
             rechunked = lab.empirical_chf_grid(gauss_20k, u, v)
         assert np.max(np.abs(grid - rechunked)) <= 1e-12
-    # The sandwich's quadrature nodes come in exact +/- pairs, so they fold.
-    for level in (1, 2):
-        u, w = lab._axis_nodes(4.0, 9.3, level)
+    # The sandwich's quadrature nodes come in exact +/- pairs, so they fold,
+    # 16 per panel of each half axis.
+    for panels in (1, 2, 5, 128):
+        u, w = lab._axis_nodes(4.0, panels)
+        assert u.size == 32 * panels
         assert np.array_equal(u[::-1], -u)
         assert np.array_equal(w[::-1], w)
 
@@ -112,33 +114,34 @@ def _exact_rows_grid(sset, u, v):
 
 
 def test_chf_grid_by_interpolation_matches_exact_rows(gauss_20k):
-    # The sandwich's quadrature axes, on the samples and on copies scaled x2 and
-    # x5 (max |x| about 8.5 and 21): Chebyshev points in the range of |x| and
-    # Lagrange rows against the rows at every distinct |u|, on every seventh row
-    # and column.  At level 1 the x5 copy (and the x2 copy at delta 1) needs no
-    # fewer points than its axes have |u| and takes the exact rows; its level-2
-    # legs interpolate (118 and 354 points), so wide ranges meet the same bounds.
+    # Sandwich quadrature axes (the 64 nodes of the `sandwich` benchmark at
+    # delta 1, and 128 to 1,024), on the samples and on copies scaled x2 and x5
+    # (max |x| about 8.5 and 21): Chebyshev points in the range of |x| and
+    # Lagrange rows against the rows at every distinct |u|, on every entry of a
+    # 64-node axis and every seventh row and column of the others.  Only the
+    # 64-node axis of the x2 and x5 copies needs as many points as twice its 32
+    # |u| and takes the exact rows, so wide ranges meet the same bounds.
     z0 = gauss_20k.ok_samples()
     lifted = 0
     for scale in (1.0, 2.0, 5.0):
         sset = lab.LineSampleSet(context=None, t_values=gauss_20k.t_values, samples=scale * z0,
                                  flags=gauss_20k.flags, sampling={})
-        for delta in (1.0, 4.0):
-            for level in (1, 2):
-                u, _ = lab._axis_nodes(delta, 6.0, level)
-                lifted += lab._sample_nodes(np.unique(np.abs(u)), scale * z0.real) is not None
-                grid = lab.empirical_chf_grid(sset, u, u)
-                some = np.r_[0:u.size:7, u.size - 1]
-                want = _exact_rows_grid(sset, u[some], u[some])
-                dev = np.max(np.abs(grid[np.ix_(some, some)] - want))
-                assert dev <= 4e-15, (scale, delta, level, dev)
-                for i, j in ((0, 1), (u.size // 3, u.size - 1), (u.size // 2, u.size // 2)):
-                    want = lab.empirical_chf(sset, float(u[i]), float(u[j]))
-                    assert abs(grid[i, j] - want) <= 1e-12
-    assert lifted >= 9
-    # An 11-point axis, as `dist` tabulates, has fewer distinct |u| than nodes:
-    # the exact rows, bit for bit.
-    axis = np.linspace(-1.0, 1.0, 11)
+        for delta, panels in ((1.0, 2), (1.0, 4), (1.0, 8), (4.0, 16), (4.0, 32)):
+            u, _ = lab._axis_nodes(delta, panels)
+            lifted += lab._sample_nodes(np.unique(np.abs(u)), scale * z0.real) is not None
+            grid = lab.empirical_chf_grid(sset, u, u)
+            some = np.arange(u.size) if u.size <= 64 else np.r_[0:u.size:7, u.size - 1]
+            want = _exact_rows_grid(sset, u[some], u[some])
+            dev = np.max(np.abs(grid[np.ix_(some, some)] - want))
+            assert dev <= 4 * lab._CHEB_TOL, (scale, delta, panels, dev)
+            for i, j in ((0, 1), (u.size // 3, u.size - 1), (u.size // 2, u.size // 2)):
+                want = lab.empirical_chf(sset, float(u[i]), float(u[j]))
+                assert abs(grid[i, j] - want) <= 1e-12
+    assert lifted == 13
+    # An 11-point `chf_axis`, as `dist` tabulates, has 6 distinct |u| against at
+    # least 16 points: the exact rows, bit for bit.
+    axis = lab.chf_axis(None, 1.0, 11)
+    assert lab._sample_nodes(np.unique(np.abs(axis)), gauss_20k.ok_samples().real) is None
     assert np.array_equal(lab.empirical_chf_grid(gauss_20k, axis, axis),
                           _exact_rows_grid(gauss_20k, axis, axis))
 
@@ -174,8 +177,8 @@ def test_chf_node_rule_meets_its_tolerance():
             rows = lab._sample_rows(a, basis, np.r_[lo, nodes[5], -nodes[5], hi])
             assert np.array_equal(rows[:n, 1], np.arange(n) == 5)
             assert np.array_equal(rows[:, 2], np.r_[rows[:n, 1], -rows[n:, 1]])
-    # A range of |x| of width 0, or one that needs more points than the axis has
-    # |u|, takes the exact rows.
+    # A range of |x| of width 0, or one that needs as many points as twice the
+    # axis' |u|, takes the exact rows.
     assert lab._sample_nodes(a, np.r_[np.full(7, 0.3), -0.3]) is None
     assert lab._sample_nodes(np.linspace(0.0, 4.0, 40), np.array([0.0, -21.0])) is None
 
@@ -185,7 +188,7 @@ def test_chf_grid_edge_cases_match_pointwise(gauss_20k, monkeypatch):
     # chunk and in chunks of 1000: all Re z equal (an exact u-axis beside an
     # interpolated v-axis), samples exactly on a Chebyshev point and on its
     # mirror, a single sample, and the sandwich's axis beside an 11-point one.
-    u, _ = lab._axis_nodes(1.0, 6.0, 1)
+    u, _ = lab._axis_nodes(1.0, 4)
     z = gauss_20k.ok_samples()[:2500].copy()
     on_node = z.copy()
     nodes = lab._sample_nodes(np.unique(np.abs(u)), on_node.real)[0]
@@ -470,36 +473,68 @@ def test_sample_line_worker_invariance():
         assert np.array_equal(one.flags, two.flags)
 
 
+def _sandwich_at(chf, F, G, panels):
+    """(lower, upper) from the sandwich's three sums on `panels` panels per half
+    axis, xi = 0 on a panel edge, with no bound."""
+    u, wu = lab._axis_nodes(F.delta, panels)
+    v, wv = lab._axis_nodes(G.delta, panels)
+    M = chf(u, v)
+    fp, fm = (wu * H.hat(u) for H in (F, selberg_interval(F.a, F.b, F.delta, "minorant")))
+    gp, gm = (wv * H.hat(v) for H in (G, selberg_interval(G.a, G.b, G.delta, "minorant")))
+    pp = (fp @ M @ gp).real
+    return (fm @ M @ gp).real + (fp @ M @ gm).real - pp, pp
+
+
+def _assert_within_bound(sw, chf, F, G, quad_tol=2e-5):
+    # The certificate against an independent reference at four times the nodes.
+    lower, upper = _sandwich_at(chf, F, G, sw.nodes_per_axis // 8)
+    assert sw.quad_bound <= quad_tol / 4, (sw, quad_tol)
+    assert abs(sw.lower - lower) <= sw.quad_bound, (sw, lower)
+    assert abs(sw.upper - upper) <= sw.quad_bound, (sw, upper)
+
+
 def test_rect_prob_from_chf_gaussian_route():
     # Exact Gaussian chf in, sandwich out; must bracket the closed-form
-    # rectangle probability with the 1/delta-scale width.
+    # rectangle probability with the 1/delta-scale width.  Off the real axis the
+    # Gaussian grows like exp(2 pi^2 b^2) <= exp(2 pi |b| pi delta) for |b| < delta,
+    # so its rate is pi delta.
     F = selberg_interval(-1.0, 1.0, 4.0, "majorant")
+    rate = 4.0 * math.pi
+    calls = []
 
     def chf(u, v):
+        calls.append(u.size)
         return np.exp(-2.0 * np.pi**2 * (u[:, None] ** 2 + v[None, :] ** 2))
 
-    sw = lab.rect_prob_from_chf(chf, F, F)
+    sw = lab.rect_prob_from_chf(chf, F, F, osc_rate_u=rate, osc_rate_v=rate)
+    assert calls == [sw.nodes_per_axis]  # one chf grid per sandwich
     P = float((sp.ndtr(1.0) - sp.ndtr(-1.0)) ** 2)
     assert sw.lower <= P <= sw.upper
     assert sw.width <= 0.2
-    assert sw.doubling_delta <= 2e-5
-    assert sw.details["lower_coarse"] <= sw.details["upper_coarse"]
+    assert sw.doubling_delta == sw.quad_bound
+    _assert_within_bound(sw, chf, F, F)
     with pytest.raises(DomainError):
         lab.rect_prob_from_chf(
             chf, selberg_interval(-1.0, 1.0, 4.0, "minorant"), F)
-    # With xi = 0 on a panel edge the two levels agree to rounding here, so the
-    # doubling check is shown a law at Re z = +-60 under the default rate of 6,
-    # and a caller's quad_tol one at Re z = +-24, whose levels differ by 3.8e-9.
-    with pytest.raises(QuadratureError):
-        lab.rect_prob_from_chf(lambda u, v: chf(u, v) * np.cos(120.0 * np.pi * u)[:, None], F, F)
 
+    # A law at Re z = +-24 grows like exp(2 pi |b| 24) in u, beside the Gaussian's share.
     def chf24(u, v):
         return chf(u, v) * np.cos(48.0 * np.pi * u)[:, None]
 
-    assert lab.rect_prob_from_chf(chf24, F, F).doubling_delta <= 1e-8
-    with pytest.raises(QuadratureError):
-        lab.rect_prob_from_chf(chf24, F, F, quad_tol=1e-10)
-    # A nan tolerance would make the doubling check vacuous.
+    for quad_tol in (2e-5, 1e-10):
+        sw = lab.rect_prob_from_chf(chf24, F, F, osc_rate_u=24.0 + rate, osc_rate_v=rate,
+                                    quad_tol=quad_tol)
+        _assert_within_bound(sw, chf24, F, F, quad_tol)
+    # Past 4,096 nodes per axis the bound is out of reach: one line names it,
+    # quad_tol/4 and both rates, before any chf grid.
+    calls.clear()
+    for kwargs, match in (({"osc_rate_u": 1e4}, r"osc_rate_u 10000, osc_rate_v 6\)"),
+                          ({"quad_tol": 1e-300}, r"quad_tol/4 = 2\.5e-301 ")):
+        with pytest.raises(QuadratureError, match=r"^chf-quadrature bound \S+ at 4096 nodes "
+                                                  r"per axis exceeds .*" + match):
+            lab.rect_prob_from_chf(chf, F, F, **kwargs)
+    assert calls == []
+    # A nan tolerance would make the bound's check vacuous.
     for bad in (float("nan"), float("inf"), 0.0, -1e-5):
         with pytest.raises(DomainError):
             lab.rect_prob_from_chf(chf, F, F, quad_tol=bad)
@@ -532,20 +567,22 @@ def test_rect_prob_from_chf_brackets_direct_count(gauss_20k):
 
 
 def test_sandwich_kink_sits_on_a_panel_edge(line_desk):
-    # The desk rectangles whose panels over [-4, 4] were odd in number on one axis,
-    # so that the kink of the majorants' transforms at 0 fell inside a panel
-    # (doubling_delta 1.2e-6 to 1.6e-6); mirrored panels put 0 on an edge.
+    # Criterion 9's five rectangles on the desk set, and (-0.5, 0.5, -2, 2), which
+    # with (-2, 2, -1, 1) once had an odd number of panels over [-4, 4] on one
+    # axis, so that the kink of the majorants' transforms at 0 fell inside a
+    # panel (brackets 4-5e-7 off); mirrored panels put 0 on an edge, and each
+    # bracket lies within its certified bound of a reference at four times the nodes.
     z = line_desk.ok_samples()
 
     def chf(u, v):
         return lab.empirical_chf_grid(line_desk, u, v)
 
-    for a, b, c, d in ((-2.0, 2.0, -1.0, 1.0), (-0.5, 0.5, -2.0, 2.0)):
-        sw = lab.rect_prob_from_chf(chf, selberg_interval(a, b, 4.0, "majorant"),
-                                    selberg_interval(c, d, 4.0, "majorant"),
-                                    osc_rate_u=float(np.max(np.abs(z.real))),
+    for a, b, c, d in ((-1.0, 1.0, -1.0, 1.0), (0.0, 1.0, 0.0, 1.0), (-2.0, 2.0, -1.0, 1.0),
+                       (-1.0, 0.0, 0.0, 2.0), (0.5, 1.5, -0.5, 0.5), (-0.5, 0.5, -2.0, 2.0)):
+        F, G = selberg_interval(a, b, 4.0, "majorant"), selberg_interval(c, d, 4.0, "majorant")
+        sw = lab.rect_prob_from_chf(chf, F, G, osc_rate_u=float(np.max(np.abs(z.real))),
                                     osc_rate_v=float(np.max(np.abs(z.imag))))
-        assert sw.doubling_delta <= 1e-12, ((a, b, c, d), sw.doubling_delta)
+        _assert_within_bound(sw, chf, F, G)
 
 
 def test_time_average_matches_torus_moments(model_075_300):
