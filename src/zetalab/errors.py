@@ -55,4 +55,4 @@ class TableCapError(ZetalabError):
 
 
 class QuadratureError(ZetalabError):
-    """A quadrature doubling check failed to stabilize within tolerance."""
+    """An a-priori quadrature cap was exceeded, or excess_integral's halving check failed."""

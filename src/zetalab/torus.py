@@ -9,10 +9,10 @@ truncated moment expansion with its remainder envelope.
 Each chf takes floats (a scalar result) or 1-d axes (the matrix over the
 grid) and does its set-up once per call. In the product form a prime with
 a single term (every p > sqrt(x)) contributes the Bessel factor
-J0(2 pi c_p r), r = |(u, v)|, once per distinct radius; midpoint quadrature
-of the separable e(u Re z) e(v Im z) runs only over the primes p <= sqrt(x),
-which have several terms. Monte Carlo draws its samples once, in fixed
-Philox-keyed blocks, and evaluates them through lab.empirical_chf_grid.
+J0(2 pi c_p r), r = |(u, v)|, once per distinct radius; the primes p <= sqrt(x)
+have several terms, and midpoint quadrature of the separable e(u Re z) e(v Im z)
+takes them at a size per node fixed a priori. Monte Carlo draws its samples
+once, in fixed Philox-keyed blocks, and evaluates them via lab.empirical_chf_grid.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .errors import DomainError, QuadratureError
 
 _MC_BLOCK = 4096
 _CHF_BLOCK_BYTES = 1 << 24  # chf_product's column factors B and their phases, per block
+_CHF_TOL = 1e-13  # chf_product's bound on the midpoint error of an entry
 _J0_SERIES_MAX = 2.0
 _J0_HANKEL_MIN = 25.0
 # J0(x) = sum_k _J0_COEFF[k] x^(2k), (-1/4)^k / (k!)^2; below 2^-56 at x = 2 from k = 12.
@@ -206,64 +207,73 @@ def _axes(name: str, u, v) -> tuple[np.ndarray, np.ndarray, bool]:
     return np.atleast_1d(ua), np.atleast_1d(va), ua.ndim == va.ndim == 0
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a phase past the float range raises below
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # non-finite values raise below
 def chf_product(model: TorusModel, u, v):
     """Exact chf E[e(u Re S + v Im S)] as a product of per-prime factors.
 
-    u and v are floats (a complex result) or 1-d axes (the matrix
-    chf(u_i, v_j)). Independence of the theta_p factorizes the expectation
-    over primes. A prime with a single term c e(theta) (every p > sqrt(x))
-    contributes the closed form J0(2 pi c r), r = sqrt(u^2 + v^2), by the
-    Jacobi-Anger expansion, evaluated by _j0 (Maclaurin series, the midpoint
-    rule past x = 2, Hankel's expansion past x = 25). Each prime with several
-    terms contributes a periodic integral evaluated by the midpoint rule
-    (spectrally accurate here) on K = 64 points, doubled per node up to
-    64 * 2^8 until successive values of the whole product agree below 1e-12;
-    a product that is not finite raises QuadratureError at once. The grid
-    runs as a whole: J0 once per distinct radius, and at each K one factor
-    e(u_i Re z) per row and one e(v_j Im z) per column, in blocks of at most
-    _CHF_BLOCK_BYTES. Each node sums in an order that does not depend on the
-    grid, so each entry equals its one-node call bit for bit.
+    u and v are floats (a complex result) or 1-d axes (the matrix chf(u_i, v_j)).
+    By independence, a prime with one term c e(theta) (every p > sqrt(x))
+    contributes J0(2 pi c r), r = |(u, v)|, by Jacobi-Anger, through _j0; each
+    of the g primes with several terms, z(theta) = sum_j c_j e(j theta),
+    contributes the mean of e(u Re z + v Im z), 1-periodic and entire in theta,
+    by the K-point midpoint rule. On |Im theta| < a the integrand's modulus is
+    at most M = exp(2 pi r sum_j c_j sinh(2 pi j a)), so the rule errs by at
+    most 2 M / (rho^K - 1), rho = e^{2 pi a} (Trefethen & Weideman, SIAM Review
+    56 (2014), section 3). All exact and computed factors have modulus <= 1, so
+    an entry errs by at most |J0 product| g 2 M* / (rho^K - 1), with M* from
+    c*_j = max c_j over those primes. Each node takes, before any quadrature,
+    the least K = 64 * 2^d whose bound is <= _CHF_TOL at some rho in lab._RHO
+    (64 where the J0 product is 0). QuadratureError refuses a node that needs
+    d > 8, a product that is not finite and a row whose phase 2 pi u Re z
+    overflows at its peak, theta = 0. The bound covers the rule in exact
+    arithmetic, not _j0 or rounding. The grid runs as a whole: J0 once per
+    radius, and at each K one factor e(u_i Re z) per row and one e(v_j Im z)
+    per column, in blocks of at most _CHF_BLOCK_BYTES. K depends only on r and
+    each node sums in a fixed order, so each entry equals its one-node call
+    bit for bit.
     """
     ua, va, scalar = _axes("chf_product", u, v)
-    several = np.bincount(model.term_prime_index, minlength=model.n_primes()) > 1
-    multi = several[model.term_prime_index]  # the terms of the primes with several terms
+    multi = np.bincount(model.term_prime_index)[model.term_prime_index] > 1
     single_coeff = model.term_coeff[~multi]
-    # Those as a padded matrix: coeff_mat[g, j] is the (j+1)-th coefficient of the g-th.
-    max_exp = int(np.max(model.term_exponent)) if len(model) else 1
-    coeff_mat = np.zeros((np.count_nonzero(several), max_exp))
-    coeff_mat[np.cumsum(several)[model.term_prime_index[multi]] - 1,
-              model.term_exponent[multi] - 1] = model.term_coeff[multi]
+    # coeff_mat[row, j] is the (j+1)-th coefficient of the row-th prime with several terms.
+    row = np.unique(model.term_prime_index[multi], return_inverse=True)[1]
+    coeff_mat = np.zeros((np.max(row, initial=-1) + 1, int(np.max(model.term_exponent, initial=1))))
+    coeff_mat[row, model.term_exponent[multi] - 1] = model.term_coeff[multi]
     # _j0 cuts its series at its largest argument, so it runs once per radius.
     radii, at = np.unique(np.hypot.outer(ua, va).ravel(), return_inverse=True)
     bessel = np.array([np.prod(_j0(2.0 * math.pi * r * single_coeff)) for r in radii.tolist()])
-    out, bessel = np.empty((ua.size, va.size), dtype=complex), bessel[at].reshape(ua.size, va.size)
-    unsettled = np.ones(out.shape, dtype=bool)
-    prev = np.full(out.shape, np.inf)  # so that no node settles at the first K
-    for K in (64 << d for d in range(9)):
-        theta = (np.arange(K) + 0.5) / K
+    # Per radius, the least real K with rho^K - 1 >= |J0 product| g 2 M* / _CHF_TOL;
+    # log_m[rho] is log M* / r.
+    powers, log_rho = np.arange(1, coeff_mat.shape[1] + 1), np.log(lab._RHO)
+    log_m = 2.0 * math.pi * np.sinh(np.outer(log_rho, powers)) @ coeff_mat.max(0, initial=0.0)
+    log_w = np.log(2.0 * len(coeff_mat) * np.abs(bessel) / _CHF_TOL)
+    need = np.min(np.logaddexp(0.0, log_w[:, None] + radii[:, None] * log_m) / log_rho, axis=1)
+    shape = (ua.size, va.size)
+    d = np.fmax(np.ceil(np.log2(need / 64.0)), 0.0)[at].reshape(shape)  # J0 = 0: need 0 or nan
+    for i, j in np.argwhere(d > 8.0)[:1]:
+        raise QuadratureError(f"chf_product needs K = {64.0 * 2.0 ** d[i, j]:g} > {64 << 8} "
+                              f"midpoints at (u, v) = ({ua[i]:g}, {va[j]:g})")
+    out, bessel, Ks = np.empty(shape, dtype=complex), bessel[at].reshape(shape), 64 << d.astype(int)
+    for K in sorted(set(Ks.ravel().tolist())):
         # z[g, k] = sum_j coeff[g, j] e((j+1) theta_k); e(u Re z + v Im z) = A[g, k] B[j, g, k]
-        z = coeff_mat @ np.exp(2j * math.pi * np.outer(np.arange(1, max_exp + 1), theta))
-        cur, cols = np.zeros(out.shape, dtype=complex), np.flatnonzero(unsettled.any(axis=0))
+        z = coeff_mat @ np.exp(2j * math.pi * np.outer(powers, (np.arange(K) + 0.5) / K))
+        cols = np.flatnonzero((Ks == K).any(axis=0))
         step = max(1, _CHF_BLOCK_BYTES // max(24 * z.size, 1))  # B and its real phases
         for c in (cols[s:s + step] for s in range(0, cols.size, step)):
             B = 2j * math.pi * (va[c, None, None] * z.imag)
             np.exp(B, out=B)
-            for i in np.flatnonzero(unsettled[:, c].any(axis=1)).tolist():
+            for i in np.flatnonzero((Ks[:, c] == K).any(axis=1)).tolist():
                 A = np.exp(2j * math.pi * (ua[i] * z.real))
                 # einsum sums each node's K terms in one order, whatever the grid's shape.
-                cur[i, c] = np.prod(np.einsum("gk,jgk->jg", A, B) / K, axis=1)
+                keep = Ks[i, c] == K
+                out[i, c[keep]] = np.prod(np.einsum("gk,jgk->jg", A, B) / K, axis=1)[keep]
             del A, B  # before the next chunk's B is formed
-        cur *= bessel
-        for i, j in np.argwhere(unsettled & ~np.isfinite(cur))[:1]:  # no doubling can mend it
-            raise QuadratureError(f"chf_product is not finite at K = {K}, "
-                                  f"(u, v) = ({ua[i]:g}, {va[j]:g})")
-        done = unsettled & (np.abs(cur - prev) <= 1e-12 * np.maximum(1.0, np.abs(cur)))
-        out[done], unsettled, prev = cur[done], unsettled & ~done, cur
-        if not unsettled.any():
-            return complex(out[0, 0]) if scalar else out
-    i, j = np.argwhere(unsettled)[0]
-    raise QuadratureError(f"chf_product did not stabilize by K = {K} at (u, v) = ({ua[i]:g}, {va[j]:g})")
+    out *= bessel
+    peak = 2.0 * math.pi * np.abs(ua) * np.max(np.sum(coeff_mat, axis=1), initial=0.0)  # theta = 0
+    for i, j in np.argwhere(~np.isfinite(out) | ~np.isfinite(peak)[:, None])[:1]:
+        raise QuadratureError(f"chf_product is not finite at K = {Ks[i, j]}, "
+                              f"(u, v) = ({ua[i]:g}, {va[j]:g})")
+    return complex(out[0, 0]) if scalar else out
 
 
 def _sample_S(model: TorusModel, n_samples: int, seed: int) -> np.ndarray:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.special import j0
 
-from zetalab import torus
+from zetalab import lab, torus
 from zetalab.errors import DomainError, QuadratureError
 from zetalab.torus import (
     chf_by_moments,
@@ -187,21 +187,57 @@ def model_052_1e5():
 
 def test_chf_product_grid_equals_node_calls(model_10, model_052_1e5, monkeypatch):
     # The 7x7 and 11x11 grids of `chf --sigma 0.52 --x 1e5`, and at x = 10 a
-    # grid whose nodes settle anywhere from K = 128 to K = 8192.
+    # grid whose nodes take anywhere from K = 64 to K = 4096 midpoints.
     sizes, einsum = [], np.einsum  # the K of each midpoint mean formed
     monkeypatch.setattr(np, "einsum", lambda spec, A, B: sizes.append(A.shape[1]) or einsum(spec, A, B))
     for model, u, v in [(model_052_1e5, np.linspace(-1.0, 1.0, 7), np.linspace(-1.0, 1.0, 7)),
                         (model_052_1e5, np.linspace(-1.0, 1.0, 11), np.linspace(-1.0, 1.0, 11)),
                         (model_10, np.array([-40.0, -5.0, 0.0, 5.0, 10.0, 200.0]),
                          np.array([0.3, -2.0, 60.0, 7.5]))]:
-        grid, settled_at = chf_product(model, u, v), set()
+        grid, picked = chf_product(model, u, v), set()
         assert grid.shape == (u.size, v.size)
         for i, a in enumerate(u.tolist()):
             for j, b in enumerate(v.tolist()):
                 start = len(sizes)
                 assert grid[i, j] == chf_product(model, a, b), (a, b)
-                settled_at.add(max(sizes[start:]))
-    assert {128, 256, 2048, 8192} <= settled_at
+                picked.add(max(sizes[start:]))
+    assert len(picked) >= 3 and 64 in picked, picked
+
+
+def _quadrature_bound(model, u, v, K):
+    """|J0 product| g 2 M* / (rho^K - 1) at the best rho of lab._RHO, from scipy's J0:
+    the stated bound on the midpoint error of a chf_product entry at K points."""
+    counts = np.bincount(model.term_prime_index)
+    several = counts[model.term_prime_index] > 1
+    r = math.hypot(u, v)
+    j0_prod = np.prod(j0(2 * math.pi * r * model.term_coeff[~several]))
+    weight = 2 * np.count_nonzero(counts > 1) * abs(j0_prod)
+    c_star = np.zeros(int(np.max(model.term_exponent)))
+    np.maximum.at(c_star, model.term_exponent[several] - 1, model.term_coeff[several])
+    log_rho = np.log(lab._RHO)
+    log_m = 2 * math.pi * r * (np.sinh(np.outer(log_rho, np.arange(1, c_star.size + 1))) @ c_star)
+    log_bound = math.log(weight) + log_m - K * log_rho - np.log1p(-lab._RHO ** -float(K))
+    return math.exp(float(np.min(log_bound)))
+
+
+def test_chf_product_meets_its_bound(model_052_1e5, monkeypatch):
+    # Each node's K meets the stated bound _CHF_TOL and K / 2 would not; the entry
+    # lies within _CHF_TOL of the every-prime midpoint product at 2K.
+    sizes, einsum = [], np.einsum  # the K of each midpoint mean formed
+    monkeypatch.setattr(np, "einsum", lambda spec, A, B: sizes.append(A.shape[1]) or einsum(spec, A, B))
+    tol, far = torus._CHF_TOL, np.linspace(-3.0, 3.0, 9) / math.sqrt(2.0)
+    for model, axis in [(model_052_1e5, np.linspace(-1.0, 1.0, 7)),
+                        (make_torus_model(0.717, 1e5), far), (make_torus_model(1.151, 1e5), far)]:
+        grid = chf_product(model, axis, axis)
+        for i, u in enumerate(axis.tolist()):
+            for j, v in enumerate(axis.tolist()):
+                start = len(sizes)
+                chf_product(model, u, v)
+                K = max(sizes[start:])
+                assert _quadrature_bound(model, u, v, K) <= tol, (u, v, K)
+                assert K == 64 or _quadrature_bound(model, u, v, K // 2) > tol, (u, v, K)
+                ref = _chf_midpoint_every_prime(model, u, v, 2 * K)
+                assert abs(grid[i, j] - ref) <= tol, (u, v, K)
 
 
 def test_chf_product_grid_edges(model_10, model_052_1e5):
@@ -402,7 +438,13 @@ def test_domain_and_capacity_errors(model_10):
         eval_S(model_10, {2: 0.1, 3: 0.2, 5: 0.3})
 
 
-def test_chf_product_quadrature_failure(model_10):
-    # Oscillation far beyond any reachable midpoint resolution.
-    with pytest.raises(QuadratureError):
+def test_chf_product_quadrature_failure(model_10, monkeypatch):
+    # Oscillation far beyond any reachable midpoint resolution: the bound asks
+    # for more than 64 * 2^8 points, and the node is refused with one line
+    # before any midpoint mean is formed.
+    formed, einsum = [], np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *args: formed.append(args) or einsum(*args))
+    with pytest.raises(QuadratureError, match=r"^chf_product needs K = \S+ > 16384 midpoints "
+                                              r"at \(u, v\) = \(300000, 0\)$"):
         chf_product(model_10, 3e5, 0.0)
+    assert formed == []
