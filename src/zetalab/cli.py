@@ -98,10 +98,10 @@ def _write_outputs(out_dir: str, files: dict) -> None:
 
 
 def _csv(header: str, *columns) -> str:
-    """A CSV table from equal-length columns: strings as they are, None as
-    an empty cell, every other value as repr(float(value))."""
-    cells = [[c if isinstance(c, str) else "" if c is None else repr(float(c))
-              for c in col] for col in columns]
+    """The one CSV builder, from equal-length columns: None is an empty cell, a str is
+    itself, any other value the repr of its element of np.asarray(col).tolist()."""
+    cells = [[c if isinstance(c, str) else "" if c is None else repr(c)
+              for c in np.asarray(col).tolist()] for col in columns]
     return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
 
 
@@ -201,7 +201,6 @@ def cmd_dist(p: dict, workers: int, seed: int, tol: float):
     hard_ok = hard_ok and all(b >= a for a, b in zip(fracs, fracs[1:]))
     hard_ok = hard_ok and all(0.0 <= f <= 1.0 for f in fracs)
 
-    keys = ("u", "v", "re", "im", "gaussian", "abs_dev", "envelope")
     body = {
         "header": sset.header(),
         "disk_reports": [d.as_dict() for d in disks],
@@ -211,10 +210,12 @@ def cmd_dist(p: dict, workers: int, seed: int, tol: float):
         "second_moment": second,
         "hard_invariants_ok": bool(hard_ok),
     }
+    keys = ("u", "v", "re", "im", "gaussian", "abs_dev", "envelope")
+    ok = sset.flags == lab.FLAG_OK  # a flagged sample's re and im are empty cells
+    re_im = (np.where(ok, z, None) for z in (sset.samples.real, sset.samples.imag))
     tables = {
-        "dist_chf_dev.csv": _csv(",".join(keys), *([rec[k] for rec in chf_dev["records"]]
-                                                   for k in keys)),
-        "dist_samples.csv": lab.samples_csv_text(sset),
+        "dist_chf_dev.csv": _csv(",".join(keys), *(chf_dev["columns"][k] for k in keys)),
+        "dist_samples.csv": _csv("t,re,im,flag", sset.t_values, *re_im, sset.flags),
     }
     return body, tables, bool(hard_ok), (
         f"dist: n_ok={sset.n_ok} excluded={sset.excluded_fraction!r} "
@@ -327,7 +328,13 @@ def cmd_scan(p: dict, workers: int, seed: int, tol: float):
             "zero_count": int(zeros.gamma.size),
             "summary": summary,
             "hard_invariants_ok": bool(hard_ok)}
-    return body, {"scan.csv": selberg.scan_csv_text(result)}, bool(hard_ok), (
+    ok = result.flags == 0
+    # hypot rounds as abs() of one complex does; np.abs of a complex array may differ by an ulp.
+    res_abs = np.where(ok, np.hypot(result.residual.real, result.residual.imag), np.nan)
+    table = _csv("t,lhs_re,lhs_im,poly_re,poly_im,res_abs,bound,flagged", result.t,
+                 result.lhs.real, result.lhs.imag, result.poly.real, result.poly.imag,
+                 res_abs, result.bound, (~ok).astype(int))
+    return body, {"scan.csv": table}, bool(hard_ok), (
         f"scan: sigma={sigma!r} x={x!r} max_res={max_res!r}")
 
 

@@ -313,7 +313,7 @@ def chf_deviation_grid(sset: LineSampleSet, u_axis, v_axis) -> dict:
     envelope gaussian*((|u|+|v|)^3/V^(3/2) + (u^2+v^2)/psi^10) + psi^(-10)
     when the set carries a line context (psi^(-10), its limit, where the
     Gaussian underflows to 0); the envelope is reported, not asserted.
-    Returns records plus sup statistics.
+    Returns the columns (name -> row-major list of floats) plus sup statistics.
     """
     ctx = sset.context
     u_axis = np.atleast_1d(np.asarray(u_axis, dtype=float))
@@ -335,11 +335,9 @@ def chf_deviation_grid(sset: LineSampleSet, u_axis, v_axis) -> dict:
         cols["dev_over_envelope"] = np.divide(dev, env, out=np.full(dev.shape, np.inf),
                                               where=pos)
         sup_ratio = float(np.max(cols["dev_over_envelope"][pos], initial=0.0))
-    records = [dict(zip(cols, map(float, row)))
-               for row in zip(*(c.ravel() for c in cols.values()))]
     sup_at = np.unravel_index(np.argmax(dev), dev.shape)
     return {
-        "records": records,
+        "columns": {name: c.ravel().tolist() for name, c in cols.items()},
         "sup_abs_dev": float(dev[sup_at]),
         "sup_at_u": float(U[sup_at]),
         "sup_at_v": float(W[sup_at]),
@@ -504,7 +502,7 @@ def _quad_bound(F: BandlimitedFunction, rate: float, panels: int) -> float:
 
 
 def rect_prob_from_chf(chf, F: BandlimitedFunction, G: BandlimitedFunction,
-                       osc_rate_u: float = 6.0, osc_rate_v: float = 6.0,
+                       osc_rate_u: float, osc_rate_v: float,
                        quad_tol: float = 2e-5) -> SandwichProb:
     """Rectangle probability reconstructed from a characteristic function.
 
@@ -603,12 +601,3 @@ def time_vs_torus_moments(poly_samples, model, m: int, k: int) -> dict:
         "abs_discrepancy": abs(time_avg - torus_val),
         "n_samples": int(f.size),
     }
-
-
-def samples_csv_text(sset: LineSampleSet) -> str:
-    """CSV text: t, re, im, flag (floats via repr; re, im empty unless flag is ok)."""
-    ok = (sset.flags == FLAG_OK).tolist()
-    re_cells, im_cells = ([repr(x) if k else "" for x, k in zip(part.tolist(), ok)]
-                          for part in (sset.samples.real, sset.samples.imag))
-    columns = (map(repr, sset.t_values.tolist()), re_cells, im_cells, map(repr, sset.flags.tolist()))
-    return "\n".join(["t,re,im,flag", *map(",".join, zip(*columns))]) + "\n"

@@ -309,14 +309,3 @@ def _quantiles(v: np.ndarray, qs) -> list:
         out.append(math.nan if np.isnan(s[-1]) else
                    float(a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g)))
     return out
-
-
-def scan_csv_text(result: ScanResult) -> str:
-    """CSV text: t, lhs_re, lhs_im, poly_re, poly_im, res_abs, bound, flagged."""
-    ok = result.flags == 0
-    # hypot rounds as abs() of one complex does; np.abs of a complex array may differ by an ulp.
-    res_abs = np.where(ok, np.hypot(result.residual.real, result.residual.imag), np.nan)
-    columns = (result.t, result.lhs.real, result.lhs.imag, result.poly.real,
-               result.poly.imag, res_abs, result.bound, (~ok).astype(int))
-    rows = [",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns))]
-    return "\n".join(["t,lhs_re,lhs_im,poly_re,poly_im,res_abs,bound,flagged", *rows]) + "\n"

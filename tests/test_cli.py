@@ -3,6 +3,7 @@ artifact files, no-partial-output on failure, and byte-determinism of
 reruns and worker counts."""
 
 import csv
+import dataclasses
 import datetime
 import json
 import math
@@ -19,8 +20,8 @@ import numpy as np
 import pytest
 
 import zetalab
-from zetalab import bandlimit, lab, torus, variance, zeta
-from zetalab.cli import _COMMANDS, main
+from zetalab import bandlimit, lab, selberg, torus, variance, zeta
+from zetalab.cli import _COMMANDS, _csv, main
 
 
 def _read_json(path):
@@ -471,6 +472,32 @@ def test_scan_command(tmp_path):
     assert not (tmp_path / "toofar").exists()
 
 
+def test_scan_csv_bytes(tmp_path, monkeypatch):
+    # Byte for byte the element-wise writer, with flagged rows among the ok ones:
+    # a flagged row's res_abs is nan and flagged is integer text.
+    scans, real_scan = [], selberg.explicit_formula_scan
+
+    def flag_every_third(*args, **kwargs):
+        res = real_scan(*args, **kwargs)
+        flags = res.flags.copy()
+        flags[::3] = 1
+        scans.append(dataclasses.replace(res, flags=flags, residual=np.where(
+            flags == 0, res.residual, np.nan)))
+        return scans[-1]
+
+    monkeypatch.setattr(selberg, "explicit_formula_scan", flag_every_third)
+    assert main(["scan", "--sigma", "2", "--x", "50", "--t_lo", "30", "--t_hi", "40",
+                 "--n_t", "20", "--out", str(tmp_path)]) == 0
+    res, flags = scans[0], scans[0].flags
+    assert 0 < np.count_nonzero(flags) < flags.size
+    want = [f"{float(res.t[i])!r},{float(res.lhs[i].real)!r},{float(res.lhs[i].imag)!r},"
+            f"{float(res.poly[i].real)!r},{float(res.poly[i].imag)!r},"
+            f"{float(abs(res.residual[i])) if flags[i] == 0 else float('nan')!r},"
+            f"{float(res.bound[i])!r},{1 if flags[i] else 0}" for i in range(flags.size)]
+    assert (tmp_path / "scan.csv").read_text(encoding="utf-8") == "\n".join(
+        ["t,lhs_re,lhs_im,poly_re,poly_im,res_abs,bound,flagged", *want]) + "\n"
+
+
 @pytest.mark.parametrize("table", [
     b"# coverage=60\n0.5 14.134725\n0.5 abc\n",
     b"# coverage=oops\n0.5 14.134725\n",
@@ -550,6 +577,38 @@ def test_dist_command_small(tmp_path):
     assert rc == 0
     dev = (tmp_path / "wide" / "dist_chf_dev.csv").read_text().strip().split("\n")
     assert len(dev) == 26
+
+
+def test_dist_samples_csv_bytes(tmp_path, monkeypatch):
+    # Byte for byte the element-wise writer, with rows of flag 1 and flag 2 among
+    # the ok ones: a flagged row's re and im are empty cells, flag is integer text.
+    sets, real_sample_line = [], lab.sample_line
+
+    def flag_some(*args, **kwargs):
+        s = real_sample_line(*args, **kwargs)
+        flags, samples = s.flags.copy(), s.samples.copy()
+        flags[::7], flags[3::11] = lab.FLAG_NEAR_ZERO, lab.FLAG_PRECISION
+        samples[::7] = np.nan
+        sets.append(dataclasses.replace(s, flags=flags, samples=samples))
+        return sets[-1]
+
+    monkeypatch.setattr(lab, "sample_line", flag_some)
+    assert main(["dist", "--T", "1000", "--sigma", "2", "--t_lo", "50", "--t_hi", "300",
+                 "--count", "200", "--out", str(tmp_path)]) == 0
+    s = sets[0]
+    assert set(s.flags.tolist()) == {lab.FLAG_OK, lab.FLAG_NEAR_ZERO, lab.FLAG_PRECISION}
+    want = [f"{float(t)!r},{float(z.real)!r},{float(z.imag)!r},0" if fl == lab.FLAG_OK
+            else f"{float(t)!r},,,{int(fl)}" for t, z, fl in zip(s.t_values, s.samples, s.flags)]
+    assert (tmp_path / "dist_samples.csv").read_text(encoding="utf-8") == "\n".join(
+        ["t,re,im,flag", *want]) + "\n"
+
+
+def test_csv_cell_rule():
+    # None is an empty cell, a str is itself, a float its repr (nan and -0.0 too),
+    # an int column integer text; a column of None and floats mixes the two.
+    assert _csv("k,n,x,i,m", np.array(["a", "b"]), [None, None], np.array([0.1, -0.0]),
+                np.array([0, 2]), np.where([True, False], np.array([np.nan, 1.0]), None)) == (
+        "k,n,x,i,m\na,,0.1,0,nan\nb,,-0.0,2,\n")
 
 
 def test_dist_chf_r_axis_is_antisymmetric(tmp_path):

@@ -228,27 +228,33 @@ def test_gaussian_chf_closed_form():
     assert arr.shape == (2,) and arr[0] == 1.0
 
 
+def _rows(out):
+    """The rows of chf_deviation_grid's columns, one dict per (u, v) point."""
+    cols = out["columns"]
+    return [dict(zip(cols, row)) for row in zip(*cols.values())]
+
+
 def test_chf_deviation_grid(gauss_20k, ctx_desk):
     axis = np.linspace(-1.0, 1.0, 11)
     axis = 0.5 * (axis - axis[::-1])
     out = lab.chf_deviation_grid(gauss_20k, axis, axis)
-    assert len(out["records"]) == 121
+    assert {"u", "v", "re", "im", "gaussian", "abs_dev"} == set(out["columns"])
+    assert all(len(c) == 121 and all(type(x) is float for x in c)
+               for c in out["columns"].values())  # plain floats: the result is JSON-ready
     assert 0.0 < out["sup_abs_dev"] <= 0.04
     assert out["sup_dev_over_envelope"] is None
     assert out["n_ok"] == 20_000
-    rec = out["records"][0]
-    assert {"u", "v", "re", "im", "gaussian", "abs_dev"} <= set(rec)
     # With a context attached the report carries the theoretical envelope
     # (informational: sample noise dwarfs it at this scale).
     withctx = lab.synthetic_gaussian_set(2000, context=ctx_desk)
     axis = lab.chf_axis(ctx_desk, None, 11)
     out2 = lab.chf_deviation_grid(withctx, axis, axis)
-    assert "envelope" in out2["records"][0]
+    assert "envelope" in out2["columns"]
     assert out2["sup_dev_over_envelope"] > 0.0
     # The columns are computed as arrays; every record equals the scalar
     # formulas bit for bit.
     V, psi = ctx_desk.V, ctx_desk.psi
-    for rec in out2["records"]:
+    for rec in _rows(out2):
         u, v = rec["u"], rec["v"]
         gauss = float(lab.gaussian_chf(u, v))
         env = (gauss * ((abs(u) + abs(v)) ** 3 / V ** 1.5 + (u * u + v * v) / psi ** 10)
@@ -257,9 +263,8 @@ def test_chf_deviation_grid(gauss_20k, ctx_desk):
         assert rec["abs_dev"] == abs(complex(rec["re"], rec["im"]) - gauss)
         assert rec["envelope"] == env
         assert rec["dev_over_envelope"] == rec["abs_dev"] / env
-    assert out2["sup_abs_dev"] == max(rec["abs_dev"] for rec in out2["records"])
-    assert out2["sup_dev_over_envelope"] == max(rec["dev_over_envelope"]
-                                                for rec in out2["records"])
+    assert out2["sup_abs_dev"] == max(out2["columns"]["abs_dev"])
+    assert out2["sup_dev_over_envelope"] == max(out2["columns"]["dev_over_envelope"])
 
 
 def test_chf_deviation_envelope_past_the_gaussian_underflow(ctx_desk):
@@ -271,7 +276,7 @@ def test_chf_deviation_envelope_past_the_gaussian_underflow(ctx_desk):
         warnings.simplefilter("error")
         out = lab.chf_deviation_grid(sset, axis, axis)
     V, psi = ctx_desk.V, ctx_desk.psi
-    for rec in out["records"]:
+    for rec in _rows(out):
         u, v = rec["u"], rec["v"]
         assert all(math.isfinite(x) for x in rec.values()), rec
         if rec["gaussian"] == 0.0:
@@ -288,7 +293,7 @@ def test_default_chf_axis_is_antisymmetric(ctx_desk):
     # grid is exactly Hermitian.
     axis = lab.chf_axis(ctx_desk, None, 11)
     out = lab.chf_deviation_grid(lab.synthetic_gaussian_set(2000, context=ctx_desk), axis, axis)
-    u, v, re, im = (np.array([rec[k] for rec in out["records"]]).reshape(11, 11)
+    u, v, re, im = (np.array(out["columns"][k]).reshape(11, 11)
                     for k in ("u", "v", "re", "im"))
     assert u[-1, 0] == ctx_desk.Omega and np.array_equal(u[:, 0], -u[::-1, 0])
     assert np.array_equal(v[0], u[:, 0]) and np.unique(np.abs(u)).size == 6
@@ -515,7 +520,7 @@ def test_rect_prob_from_chf_gaussian_route():
     _assert_within_bound(sw, chf, F, F)
     with pytest.raises(DomainError):
         lab.rect_prob_from_chf(
-            chf, selberg_interval(-1.0, 1.0, 4.0, "minorant"), F)
+            chf, selberg_interval(-1.0, 1.0, 4.0, "minorant"), F, osc_rate_u=rate, osc_rate_v=rate)
 
     # A law at Re z = +-24 grows like exp(2 pi |b| 24) in u, beside the Gaussian's share.
     def chf24(u, v):
@@ -528,20 +533,27 @@ def test_rect_prob_from_chf_gaussian_route():
     # Past 4,096 nodes per axis the bound is out of reach: one line names it,
     # quad_tol/4 and both rates, before any chf grid.
     calls.clear()
-    for kwargs, match in (({"osc_rate_u": 1e4}, r"osc_rate_u 10000, osc_rate_v 6\)"),
-                          ({"quad_tol": 1e-300}, r"quad_tol/4 = 2\.5e-301 ")):
+    for kwargs, match in (({"osc_rate_u": 1e4, "osc_rate_v": 6.0},
+                           r"osc_rate_u 10000, osc_rate_v 6\)"),
+                          ({"osc_rate_u": rate, "osc_rate_v": rate, "quad_tol": 1e-300},
+                           r"quad_tol/4 = 2\.5e-301 ")):
         with pytest.raises(QuadratureError, match=r"^chf-quadrature bound \S+ at 4096 nodes "
                                                   r"per axis exceeds .*" + match):
             lab.rect_prob_from_chf(chf, F, F, **kwargs)
     assert calls == []
+    # No rate is assumed: a default checked against no chf would bound nothing.
+    with pytest.raises(TypeError, match="osc_rate_u"):
+        lab.rect_prob_from_chf(chf, F, F)
+    assert calls == []
     # A nan tolerance would make the bound's check vacuous.
     for bad in (float("nan"), float("inf"), 0.0, -1e-5):
         with pytest.raises(DomainError):
-            lab.rect_prob_from_chf(chf, F, F, quad_tol=bad)
+            lab.rect_prob_from_chf(chf, F, F, osc_rate_u=rate, osc_rate_v=rate, quad_tol=bad)
     for name in ("osc_rate_u", "osc_rate_v"):
         for bad in (float("nan"), float("inf"), -1.0):
             with pytest.raises(DomainError):
-                lab.rect_prob_from_chf(chf, F, F, **{name: bad})
+                lab.rect_prob_from_chf(chf, F, F, **{"osc_rate_u": rate, "osc_rate_v": rate,
+                                                     name: bad})
 
 
 def test_rect_prob_from_chf_brackets_direct_count(gauss_20k):
@@ -552,14 +564,15 @@ def test_rect_prob_from_chf_brackets_direct_count(gauss_20k):
     def chf(u, v):
         return lab.empirical_chf_grid(gauss_20k, u, v)
 
-    sw = lab.rect_prob_from_chf(chf, F, F)
+    z = gauss_20k.ok_samples()
+    sw = lab.rect_prob_from_chf(chf, F, F, osc_rate_u=float(np.max(np.abs(z.real))),
+                                osc_rate_v=float(np.max(np.abs(z.imag))))
     frac = lab.rectangle_report(gauss_20k, -1.0, 1.0, -1.0, 1.0).empirical_fraction
     assert sw.lower - 2e-5 <= frac <= sw.upper + 2e-5
     assert sw.width <= 0.2
     # Independent oracle: by Fourier inversion the sandwich integrals are
     # sample means of the majorant and minorant products in closed form.
     F_minus = selberg_interval(-1.0, 1.0, 4.0, "minorant")
-    z = gauss_20k.ok_samples()
     fp, gp = F(z.real), F(z.imag)
     fm, gm = F_minus(z.real), F_minus(z.imag)
     assert abs(sw.upper - np.mean(fp * gp)) <= 2e-5
@@ -615,28 +628,3 @@ def test_sample_prime_poly_small_case():
                      (5, math.log(5))]
     )
     assert abs(got[1] - direct) <= 1e-13
-
-
-def test_samples_csv_text():
-    s = lab.synthetic_gaussian_set(5, seed=3)
-    flags = s.flags.copy()
-    flags[2] = lab.FLAG_NEAR_ZERO
-    flags[4] = lab.FLAG_PRECISION
-    samples = s.samples.copy()
-    samples[2] = np.nan
-    flagged = lab.LineSampleSet(context=None, t_values=s.t_values,
-                                samples=samples, flags=flags,
-                                sampling=s.sampling)
-    text = lab.samples_csv_text(flagged)
-    lines = text.strip().split("\n")
-    assert lines[0] == "t,re,im,flag"
-    assert len(lines) == 6
-    parts = lines[1].split(",")
-    assert float(parts[0]) == 0.0
-    assert float(parts[1]) == samples[0].real  # repr round-trips exactly
-    excluded = lines[3].split(",")
-    assert excluded[1] == "" and excluded[2] == "" and excluded[3] == "1"
-    # Byte for byte the element-wise writer.
-    want = [f"{float(t)!r},{float(z.real)!r},{float(z.imag)!r},0" if fl == lab.FLAG_OK
-            else f"{float(t)!r},,,{int(fl)}" for t, z, fl in zip(s.t_values, samples, flags)]
-    assert text == "\n".join(["t,re,im,flag", *want]) + "\n"

@@ -3,7 +3,6 @@ Dirichlet polynomial (against an arbitrary-precision oracle and against
 direct sums over the prime-power table on both evaluation routes), and
 explicit-formula residual scans."""
 
-import dataclasses
 import math
 
 import mpmath as mp
@@ -26,7 +25,6 @@ from zetalab.selberg import (
     convergent_tail_bound,
     explicit_formula_scan,
     prime_poly,
-    scan_csv_text,
     sigma_xt,
     weight_branch_gaps,
     weight_w,
@@ -410,30 +408,6 @@ def test_convergent_tail_bound_actually_bounds():
         assert tail <= convergent_tail_bound(sigma, x)
     with pytest.raises(DomainError):
         convergent_tail_bound(1.0, 100.0)
-
-
-def test_scan_csv_roundtrip():
-    zeros = find_zero_ordinates(42.0)
-    t = np.linspace(30.0, 40.0, 20)
-    res = explicit_formula_scan(2.0, 50.0, t, zeros)
-    text = scan_csv_text(res)
-    lines = text.strip().split("\n")
-    assert lines[0] == "t,lhs_re,lhs_im,poly_re,poly_im,res_abs,bound,flagged"
-    assert len(lines) == 21
-    first = lines[1].split(",")
-    assert float(first[0]) == 30.0
-    assert abs(float(first[5]) - abs(res.residual[0])) <= 1e-15
-    assert first[7] in {"0", "1"}
-
-    # Byte for byte the element-wise writer, with flagged rows among the ok ones.
-    flags = res.flags.copy()
-    flags[::3] = 1
-    res = dataclasses.replace(res, flags=flags, residual=np.where(flags == 0, res.residual, np.nan))
-    want = [f"{float(res.t[i])!r},{float(res.lhs[i].real)!r},{float(res.lhs[i].imag)!r},"
-            f"{float(res.poly[i].real)!r},{float(res.poly[i].imag)!r},"
-            f"{float(abs(res.residual[i])) if flags[i] == 0 else float('nan')!r},"
-            f"{float(res.bound[i])!r},{1 if flags[i] else 0}" for i in range(t.size)]
-    assert scan_csv_text(res).split("\n")[1:-1] == want
 
 
 def test_quantiles_match_numpy_bit_for_bit():
